@@ -86,16 +86,7 @@ pub enum LlcAccess {
     Blocked,
 }
 
-/// Outcome of a fill: tokens to wake and an optional dirty eviction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FillOutcome {
-    /// Load tokens waiting on this line.
-    pub waiters: Vec<u64>,
-    /// Dirty line that must be written back to memory, if any.
-    pub writeback: Option<u64>,
-}
-
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct Mshr {
     waiters: Vec<u64>,
     store_pending: bool,
@@ -122,6 +113,11 @@ pub struct Llc {
     ways: Vec<Way>,
     num_sets: u64,
     mshrs: LineMap<Mshr>,
+    /// Waiter lists not in use by an MSHR: a miss takes one, its fill
+    /// returns it emptied, so the miss path never allocates. There are
+    /// `cfg.mshrs` lists, each either in an MSHR or here, so a miss that
+    /// gets an MSHR always finds one.
+    spare_waiters: Vec<Vec<u64>>,
     tick: u64,
     stats: CacheStats,
 }
@@ -147,6 +143,9 @@ impl Llc {
             num_sets,
             cfg,
             mshrs: LineMap::default(),
+            // One list per MSHR, allocated now rather than on the first
+            // misses of the run (4 is the capacity a first push picks).
+            spare_waiters: (0..cfg.mshrs).map(|_| Vec::with_capacity(4)).collect(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -200,7 +199,10 @@ impl Llc {
             self.stats.blocked += 1;
             return LlcAccess::Blocked;
         }
-        let mut m = Mshr::default();
+        let mut m = Mshr {
+            waiters: self.spare_waiters.pop().unwrap_or_default(),
+            store_pending: false,
+        };
         if is_store {
             m.store_pending = true;
         } else {
@@ -211,14 +213,22 @@ impl Llc {
         LlcAccess::MissFetch
     }
 
-    /// Install `line` after its memory fetch completes. Returns the
-    /// tokens to wake and any dirty eviction.
+    /// Install `line` after its memory fetch completes: calls `wake` with
+    /// each load token waiting on the line, in arrival order, and returns
+    /// the dirty line evicted to make room, if any (the caller must write
+    /// it back).
     ///
     /// # Panics
     ///
     /// Panics if no MSHR exists for `line` (fills must match fetches).
-    pub fn fill(&mut self, line: u64) -> FillOutcome {
-        let m = self.mshrs.remove(&line).expect("fill without MSHR");
+    pub fn fill(&mut self, line: u64, mut wake: impl FnMut(u64)) -> Option<u64> {
+        let mut m = self.mshrs.remove(&line).expect("fill without MSHR");
+        for &token in &m.waiters {
+            wake(token);
+        }
+        let dirty = m.store_pending;
+        m.waiters.clear();
+        self.spare_waiters.push(m.waiters);
         self.tick += 1;
         let set = self.set_of(line);
         let tag = self.tag_of(line);
@@ -241,13 +251,10 @@ impl Llc {
         ways[victim] = Way {
             tag,
             valid: true,
-            dirty: m.store_pending,
+            dirty,
             lru: self.tick,
         };
-        FillOutcome {
-            waiters: m.waiters,
-            writeback,
-        }
+        writeback
     }
 
     /// Outstanding misses.
@@ -275,9 +282,9 @@ mod tests {
     fn miss_then_hit() {
         let mut c = tiny();
         assert_eq!(c.access(0, false, 1), LlcAccess::MissFetch);
-        let out = c.fill(0);
-        assert_eq!(out.waiters, vec![1]);
-        assert_eq!(out.writeback, None);
+        let mut woken = Vec::new();
+        assert_eq!(c.fill(0, |t| woken.push(t)), None);
+        assert_eq!(woken, vec![1]);
         assert_eq!(c.access(0, false, 2), LlcAccess::Hit);
     }
 
@@ -286,8 +293,9 @@ mod tests {
         let mut c = tiny();
         assert_eq!(c.access(0, false, 1), LlcAccess::MissFetch);
         assert_eq!(c.access(0, false, 2), LlcAccess::MissMerged);
-        let out = c.fill(0);
-        assert_eq!(out.waiters, vec![1, 2]);
+        let mut woken = Vec::new();
+        c.fill(0, |t| woken.push(t));
+        assert_eq!(woken, vec![1, 2]);
     }
 
     #[test]
@@ -305,14 +313,13 @@ mod tests {
         let mut c = tiny();
         // Lines 0, 4, 8 map to set 0 (4 sets).
         c.access(0, true, u64::MAX); // store miss -> dirty on fill
-        c.fill(0);
+        c.fill(0, |_| {});
         c.access(4, false, 1);
-        c.fill(4);
+        c.fill(4, |_| {});
         // Set 0 full: {0 dirty, 4}. Touch 4 to make 0 the LRU.
         assert_eq!(c.access(4, false, 2), LlcAccess::Hit);
         c.access(8, false, 3);
-        let out = c.fill(8);
-        assert_eq!(out.writeback, Some(0), "dirty LRU line 0 evicted");
+        assert_eq!(c.fill(8, |_| {}), Some(0), "dirty LRU line 0 evicted");
         // Line 0 is gone, line 4 still present.
         assert_eq!(c.access(4, false, 4), LlcAccess::Hit);
         assert_eq!(c.access(8, false, 5), LlcAccess::Hit);
@@ -322,14 +329,32 @@ mod tests {
     fn store_allocate_dirties_line() {
         let mut c = tiny();
         assert_eq!(c.access(1, true, u64::MAX), LlcAccess::MissFetch);
-        let out = c.fill(1);
-        assert!(out.waiters.is_empty(), "stores wake nobody");
+        let mut woken = 0;
+        c.fill(1, |_| woken += 1);
+        assert_eq!(woken, 0, "stores wake nobody");
         // Evicting it later must write back.
         c.access(5, false, 1);
-        c.fill(5);
+        c.fill(5, |_| {});
         c.access(9, false, 2);
-        let out = c.fill(9);
-        assert_eq!(out.writeback, Some(1));
+        assert_eq!(c.fill(9, |_| {}), Some(1));
+    }
+
+    #[test]
+    fn waiter_lists_are_recycled_not_reallocated() {
+        let mut c = tiny();
+        assert_eq!(c.spare_waiters.len(), 4, "one list per MSHR up front");
+        c.access(0, false, 1);
+        c.access(0, false, 2);
+        assert_eq!(c.spare_waiters.len(), 3);
+        let list = c.mshrs[&0].waiters.as_ptr();
+        c.fill(0, |_| {});
+        assert_eq!(c.spare_waiters.len(), 4, "fill returns the list");
+        // The next miss takes that same list back, emptied.
+        c.access(1, false, 3);
+        assert_eq!(c.mshrs[&1].waiters.as_ptr(), list);
+        let mut woken = Vec::new();
+        c.fill(1, |t| woken.push(t));
+        assert_eq!(woken, vec![3]);
     }
 
     #[test]
@@ -362,7 +387,7 @@ mod proptests {
             let mut c = tiny();
             for &l in &lines {
                 match c.access(l, false, 0) {
-                    LlcAccess::MissFetch => { c.fill(l); }
+                    LlcAccess::MissFetch => { c.fill(l, |_| {}); }
                     LlcAccess::Hit => {}
                     other => prop_assert!(false, "unexpected {other:?}"),
                 }
@@ -377,7 +402,7 @@ mod proptests {
         fn stats_partition_accesses(ops in proptest::collection::vec((0u64..16, any::<bool>()), 1..200)) {
             let mut c = tiny();
             for &(l, st) in &ops {
-                if c.access(l, st, 0) == LlcAccess::MissFetch { c.fill(l); }
+                if c.access(l, st, 0) == LlcAccess::MissFetch { c.fill(l, |_| {}); }
             }
             let s = *c.stats();
             prop_assert_eq!(

@@ -148,6 +148,10 @@ pub struct Core {
     pending_op: Option<TraceEntry>,
     next_token: u64,
     stats: CoreStats,
+    /// Cached [`stalled_on_memory`](Self::stalled_on_memory) verdict.
+    /// The inputs it reads change only in [`tick`](Self::tick) and
+    /// [`finish_load`](Self::finish_load), which recompute it on exit.
+    stalled: bool,
 }
 
 impl std::fmt::Debug for Core {
@@ -174,6 +178,8 @@ impl Core {
             pending_op: None,
             next_token: (core_id as u64) << 48,
             stats: CoreStats::default(),
+            // Empty ROB, nothing pending: dispatch can always proceed.
+            stalled: false,
         }
     }
 
@@ -191,6 +197,7 @@ impl Core {
     pub fn finish_load(&mut self, token: u64) {
         self.finished.insert(token);
         self.outstanding = self.outstanding.saturating_sub(1);
+        self.stalled = self.compute_stalled();
     }
 
     /// Loads currently in flight (diagnostics).
@@ -208,7 +215,16 @@ impl Core {
     /// Deliberately conservative: any state where progress *might* be
     /// possible (bubbles to dispatch, an unfetched trace entry, a posted
     /// store, a memory system that could accept a retry) reports `false`.
+    ///
+    /// A field read: the verdict is cached by the only two methods that
+    /// can change it.
+    #[inline]
     pub fn stalled_on_memory(&self) -> bool {
+        self.stalled
+    }
+
+    /// Evaluate the stall verdict from the ROB, pending-op and MLP state.
+    fn compute_stalled(&self) -> bool {
         // Retirement: possible unless the ROB head is a load whose data
         // has not returned.
         match self.rob.front() {
@@ -322,6 +338,7 @@ impl Core {
                 }
             }
         }
+        self.stalled = self.compute_stalled();
     }
 }
 
@@ -329,6 +346,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::trace::LoopTrace;
+    use proptest::prelude::*;
 
     /// Memory stub: loads complete after a fixed delay via an event list.
     struct StubMem {
@@ -576,6 +594,44 @@ mod tests {
         for _ in 0..20 {
             store_core.tick(&mut rejecting);
             assert!(!store_core.stalled_on_memory());
+        }
+    }
+
+    proptest::proptest! {
+        /// The cached stall verdict equals a fresh evaluation after every
+        /// `tick` and every `finish_load`, across random traces, ROB and
+        /// MLP sizes, latencies, and a memory that rejects accesses on a
+        /// random pattern.
+        #[test]
+        fn cached_stall_verdict_matches_a_fresh_one(
+            entries in collection::vec((0u32..4, 0u64..64, any::<bool>()), 1..24),
+            mlp in 1usize..17,
+            rob in 4usize..353,
+            latency in 1u64..200,
+            accept in collection::vec(any::<bool>(), 1..16),
+        ) {
+            let trace = LoopTrace::new(
+                entries
+                    .iter()
+                    .map(|&(bubbles, line, is_store)| TraceEntry { bubbles, line, is_store })
+                    .collect(),
+            );
+            let cfg = CoreConfig { rob, width: 4, max_outstanding_loads: mlp };
+            let mut core = Core::new(cfg, 0, Box::new(trace));
+            let mut mem = StubMem::new(latency);
+            prop_assert_eq!(core.stalled_on_memory(), core.compute_stalled());
+            for cycle in 0..600 {
+                mem.accept = accept[cycle % accept.len()];
+                core.tick(&mut mem);
+                prop_assert_eq!(core.stalled_on_memory(), core.compute_stalled());
+                mem.now += 1;
+                let now = mem.now;
+                while let Some(i) = mem.events.iter().position(|&(t, _)| t <= now) {
+                    let (_, token) = mem.events.swap_remove(i);
+                    core.finish_load(token);
+                    prop_assert_eq!(core.stalled_on_memory(), core.compute_stalled());
+                }
+            }
         }
     }
 

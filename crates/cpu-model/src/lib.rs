@@ -24,7 +24,7 @@ pub mod trace;
 pub mod workloads;
 
 pub use crate::core::{Core, CoreConfig, CoreMem, CoreStats};
-pub use cache::{CacheConfig, CacheStats, FillOutcome, Llc, LlcAccess};
+pub use cache::{CacheConfig, CacheStats, Llc, LlcAccess};
 pub use mix::{mixes8, WorkloadMix};
 pub use trace::{LoopTrace, TraceEntry, TraceSource};
 pub use workloads::{all57, GenParams, Pattern, SyntheticTrace, WorkloadSpec};

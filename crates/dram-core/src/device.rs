@@ -356,8 +356,7 @@ impl DramDevice {
         self.trace.set_now(now);
         let until = now + self.cfg.timing.trfc;
         self.ranks[rank as usize].block_until(until);
-        let ids: Vec<BankId> = self.bank_ids_of_rank(rank).collect();
-        for b in ids {
+        for b in self.bank_ids_of_rank(rank) {
             self.banks[b.0 as usize].timing.block_until(until);
             let unit = &mut self.banks[b.0 as usize];
             let was = unit.tracker.needs_alert();

@@ -195,11 +195,21 @@ impl BankBitSet {
     /// Set members in ascending order (matches a `0..banks` scan, so
     /// scheduler tie-breaking over this iteration is order-stable).
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
-                .take_while(|&x| x != 0)
-                .map(move |x| w * 64 + x.trailing_zeros() as usize)
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| Self::word_members(w, word))
+    }
+
+    /// The banks whose bits are set in `word`, taken as word `w` of a
+    /// set's [`words`](Self::words), in ascending order. The iterator
+    /// owns its copy of the word, so callers can combine several sets
+    /// word-wise and then mutate them while walking the result.
+    #[inline]
+    pub fn word_members(w: usize, word: u64) -> impl Iterator<Item = usize> {
+        std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
+            .take_while(|&x| x != 0)
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
     }
 }
 

@@ -113,21 +113,30 @@ pub struct MemoryController {
     drain_mode: bool,
     next_id: u64,
     completions: Vec<Completion>,
-    /// Next REF due time per rank.
+    /// Next REF due time per rank. A rank whose deadline has passed but
+    /// whose REF has not issued yet is *overdue*: FR-FCFS must not open
+    /// new rows or issue column commands there.
     ref_due: Vec<Cycle>,
-    /// Ranks whose REF deadline has passed but whose REF has not issued
-    /// yet; FR-FCFS must not open new rows there (recomputed each tick).
-    ref_pending: Vec<bool>,
-    banks_per_rank: usize,
+    /// Each rank's banks as a bank set, so the overdue ranks' banks are
+    /// masked out of the scheduler a word at a time.
+    rank_banks: Vec<BankBitSet>,
     /// Per-bank wake hint: a cycle before which the bank provably cannot
-    /// contribute any schedulable command, so the FR-FCFS sweep skips it
-    /// with one compare. Conservative: 0 means "unknown, scan it". Set
-    /// when a sweep finds a bank fully timing-blocked; cleared whenever
-    /// the bank's queues or open-row state change (enqueue, any command
-    /// to the bank). Rank/bus constraints only ever move legality later,
-    /// so a stale hint can undershoot (harmless rescan) but never skip a
-    /// legal command.
+    /// contribute any schedulable command. Conservative: 0 means
+    /// "unknown, scan it". Set when a sweep finds a bank fully
+    /// timing-blocked; cleared whenever the bank's queues or open-row
+    /// state change (enqueue, any command to the bank). Rank/bus
+    /// constraints only ever move legality later, so a stale hint can
+    /// undershoot (harmless rescan) but never skip a legal command.
     bank_wake: Vec<Cycle>,
+    /// Banks with a nonzero wake hint; the FR-FCFS sweep skips them
+    /// word-wise. Always a subset of `busy_banks`: hints are only set on
+    /// busy banks, and a bank leaves `busy_banks` only by issuing, which
+    /// clears its hint.
+    sleeping: BankBitSet,
+    /// Lower bound on the wake hints of `sleeping` (exact right after
+    /// [`wake_due_banks`](Self::wake_due_banks); clearing a hint can
+    /// leave it low, which costs one extra pass). `Cycle::MAX` = none.
+    sleep_min: Cycle,
     /// ACTs since the last periodic RFM, per bank.
     acts_since_rfm: Vec<u32>,
     /// Banks owing a periodic RFM.
@@ -151,11 +160,23 @@ impl MemoryController {
         let banks = device.cfg().num_banks();
         let ranks = device.cfg().ranks as usize;
         let trefi = device.cfg().timing.trefi;
-        let banks_per_rank = device.cfg().banks_per_rank();
+        let rank_banks = (0..ranks as u8)
+            .map(|rank| {
+                let mut set = BankBitSet::new(banks);
+                for b in device.bank_ids_of_rank(rank) {
+                    set.insert(b.0 as usize);
+                }
+                set
+            })
+            .collect();
         MemoryController {
             cfg,
             device,
-            read_q: (0..banks).map(|_| VecDeque::new()).collect(),
+            // Sized to the hard per-bank cap up front, so read queues
+            // never grow while the simulation runs.
+            read_q: (0..banks)
+                .map(|_| VecDeque::with_capacity(cfg.read_queue_cap))
+                .collect(),
             write_q: (0..banks).map(|_| VecDeque::new()).collect(),
             busy_banks: BankBitSet::new(banks),
             reads_buffered: 0,
@@ -167,9 +188,10 @@ impl MemoryController {
             ref_due: (0..ranks)
                 .map(|r| trefi + r as Cycle * (trefi / ranks.max(1) as Cycle))
                 .collect(),
-            ref_pending: vec![false; ranks],
-            banks_per_rank,
+            rank_banks,
             bank_wake: vec![0; banks],
+            sleeping: BankBitSet::new(banks),
+            sleep_min: Cycle::MAX,
             acts_since_rfm: vec![0; banks],
             rfm_owed: VecDeque::new(),
             stats: McStats::default(),
@@ -276,7 +298,7 @@ impl MemoryController {
         self.busy_banks.insert(bank);
         // A new request can make the bank schedulable sooner (e.g. a
         // fresh row hit), so the wake hint must be recomputed.
-        self.bank_wake[bank] = 0;
+        self.wake(bank);
         Some(id)
     }
 
@@ -286,8 +308,10 @@ impl MemoryController {
     }
 
     /// Drain completion notifications accumulated since the last call.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// The buffer keeps its capacity, so steady-state draining never
+    /// allocates.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
     }
 
     /// Advance one memory cycle, issuing at most one DRAM command.
@@ -405,10 +429,10 @@ impl MemoryController {
                 best = best.min(c.max(floor));
             }
         };
-        for bank in self.busy_banks.iter() {
-            if now >= self.ref_due[bank / self.banks_per_rank] {
-                continue;
-            }
+        let busy = self.busy_banks.words();
+        let banks = (0..busy.len())
+            .flat_map(|w| BankBitSet::word_members(w, busy[w] & !self.overdue_banks(now, w)));
+        for bank in banks {
             let wake = self.bank_wake[bank];
             if wake > now {
                 upd(wake);
@@ -432,6 +456,52 @@ impl MemoryController {
             }
         }
         best
+    }
+
+    /// Word `w` of the set of banks on overdue-REF ranks at `now`.
+    #[inline]
+    fn overdue_banks(&self, now: Cycle, w: usize) -> u64 {
+        self.ref_due
+            .iter()
+            .zip(&self.rank_banks)
+            .filter(|(&due, _)| now >= due)
+            .fold(0, |mask, (_, banks)| mask | banks.words()[w])
+    }
+
+    /// Record that `bank` cannot act before `wake` (> now).
+    #[inline]
+    fn sleep(&mut self, bank: usize, wake: Cycle) {
+        self.bank_wake[bank] = wake;
+        self.sleeping.insert(bank);
+        self.sleep_min = self.sleep_min.min(wake);
+    }
+
+    /// Clear `bank`'s wake hint: its state changed, so rescan it.
+    #[inline]
+    fn wake(&mut self, bank: usize) {
+        self.bank_wake[bank] = 0;
+        self.sleeping.remove(bank);
+    }
+
+    /// Wake every sleeping bank whose hint is due at `now` and make
+    /// `sleep_min` exact again. One pass, and only when the lower bound
+    /// says some hint may be due.
+    fn wake_due_banks(&mut self, now: Cycle) {
+        if now < self.sleep_min {
+            return;
+        }
+        let mut min = Cycle::MAX;
+        for w in 0..self.sleeping.words().len() {
+            for bank in BankBitSet::word_members(w, self.sleeping.words()[w]) {
+                let wake = self.bank_wake[bank];
+                if wake <= now {
+                    self.wake(bank);
+                } else {
+                    min = min.min(wake);
+                }
+            }
+        }
+        self.sleep_min = min;
     }
 
     /// Account statistics for `cycles` skipped controller cycles that
@@ -465,7 +535,7 @@ impl MemoryController {
             .copied()
             .find(|&b| self.device.can_precharge(b, now));
         if let Some(b) = pre {
-            self.bank_wake[b.0 as usize] = 0;
+            self.wake(b.0 as usize);
             self.device.precharge(b, now);
             return now + 1;
         }
@@ -478,29 +548,24 @@ impl MemoryController {
     /// Ranks whose REF deadline passed but which cannot make progress
     /// this cycle (open banks still settling through tRAS/tRTP/tWR, or
     /// the rank blocked by a REF/RFM) no longer burn the whole command
-    /// slot; they are marked in `ref_pending` — which bars FR-FCFS from
-    /// issuing new ACTs or column commands to them, so they drain
+    /// slot; they stay overdue (`now >= ref_due`), which bars FR-FCFS
+    /// from issuing new ACTs or column commands to them, so they drain
     /// monotonically toward the REF — while demand on other ranks keeps
     /// flowing.
     fn service_refresh(&mut self, now: Cycle) -> bool {
-        let ranks = self.device.cfg().ranks;
-        for rank in 0..ranks as usize {
-            self.ref_pending[rank] = now >= self.ref_due[rank];
-        }
-        for rank in 0..ranks {
-            if !self.ref_pending[rank as usize] {
+        for rank in 0..self.device.cfg().ranks {
+            if now < self.ref_due[rank as usize] {
                 continue;
             }
             if self.device.can_refresh(rank, now) {
                 self.device.refresh(rank, now);
                 self.ref_due[rank as usize] += self.device.cfg().timing.trefi;
-                self.ref_pending[rank as usize] = false;
                 return true;
             }
             // Precharge one bank of the rank to make progress.
             for b in self.device.bank_ids_of_rank(rank) {
                 if self.device.can_precharge(b, now) {
-                    self.bank_wake[b.0 as usize] = 0;
+                    self.wake(b.0 as usize);
                     self.device.precharge(b, now);
                     return true;
                 }
@@ -531,7 +596,7 @@ impl MemoryController {
             && self.write_q[b].is_empty()
             && self.device.can_precharge(bank, now)
         {
-            self.bank_wake[b] = 0;
+            self.wake(b);
             self.device.precharge(bank, now);
             return true;
         }
@@ -550,23 +615,24 @@ impl MemoryController {
     }
 
     /// FR-FCFS: column hits, then oldest-first activations, then
-    /// precharges for row conflicts. One sweep over the banks with
-    /// queued work (`busy_banks`) collects all three candidate kinds;
-    /// banks of a rank with an overdue REF are skipped so the rank can
-    /// quiesce, and banks whose `bank_wake` hint proves them
-    /// timing-blocked cost a single compare.
+    /// precharges for row conflicts. One sweep over the candidate banks
+    /// collects all three candidate kinds. Candidates are picked
+    /// word-wise as `busy & !sleeping & !overdue`: banks with queued
+    /// work, minus banks whose wake hint proves them timing-blocked,
+    /// minus banks of a rank with an overdue REF (so the rank can
+    /// quiesce).
     ///
     /// Returns the earliest cycle demand scheduling could act again
     /// (`now + 1` when a command issued or a candidate existed; the
-    /// minimum wake hint otherwise), accumulated during the sweep so the
-    /// fast-forward path gets its event bound for free.
+    /// sleeping banks' wake lower bound otherwise), so the fast-forward
+    /// path gets its event bound for free.
     fn schedule_frfcfs(&mut self, now: Cycle) -> Cycle {
         let reads_pending = self.pending_reads() > 0;
         if self.drain_mode && self.writes_buffered <= self.cfg.write_drain_low {
             self.drain_mode = false;
         }
         let prefer_writes = self.drain_mode || !reads_pending;
-        let mut wake_min = Cycle::MAX;
+        self.wake_due_banks(now);
         // Banks that offered at least one candidate this cycle: with two
         // or more, whichever loses arbitration stays issuable, so the
         // next cycle is live; with exactly one (the issuing bank), its
@@ -580,114 +646,109 @@ impl MemoryController {
         let mut best: Option<(Cycle, usize, usize, bool)> = None; // (arrived, bank, idx, is_write)
         let mut act: Option<(Cycle, usize, RowId)> = None;
         let mut pre: Option<(Cycle, usize)> = None;
-        for bank in self.busy_banks.iter() {
-            if self.ref_pending[bank / self.banks_per_rank] {
-                continue;
-            }
-            if self.bank_wake[bank] > now {
-                wake_min = wake_min.min(self.bank_wake[bank]);
-                continue;
-            }
-            let bid = BankId(bank as u16);
-            let Some(open_row) = self.device.open_row(bid) else {
-                // Closed bank: activation candidate for the oldest head.
-                let head = match (
-                    self.read_q[bank].front(),
-                    self.write_q[bank].front(),
-                    prefer_writes,
-                ) {
-                    (Some(r), Some(w), false) => {
-                        if r.arrived <= w.arrived {
-                            r
-                        } else {
-                            w
+        for word in 0..self.busy_banks.words().len() {
+            let candidates = self.busy_banks.words()[word]
+                & !self.sleeping.words()[word]
+                & !self.overdue_banks(now, word);
+            for bank in BankBitSet::word_members(word, candidates) {
+                let bid = BankId(bank as u16);
+                let Some(open_row) = self.device.open_row(bid) else {
+                    // Closed bank: activation candidate for the oldest head.
+                    let head = match (
+                        self.read_q[bank].front(),
+                        self.write_q[bank].front(),
+                        prefer_writes,
+                    ) {
+                        (Some(r), Some(w), false) => {
+                            if r.arrived <= w.arrived {
+                                r
+                            } else {
+                                w
+                            }
                         }
-                    }
-                    (Some(r), Some(w), true) => {
-                        if w.arrived <= r.arrived {
-                            w
-                        } else {
-                            r
+                        (Some(r), Some(w), true) => {
+                            if w.arrived <= r.arrived {
+                                w
+                            } else {
+                                r
+                            }
                         }
+                        (Some(r), None, _) => r,
+                        (None, Some(w), _) => w,
+                        (None, None, _) => unreachable!("bank in busy_banks has a request"),
+                    };
+                    if self.device.can_activate(bid, now) {
+                        contributors += 1;
+                        if act.is_none_or(|(a, ..)| head.arrived < a) {
+                            act = Some((head.arrived, bank, head.addr.row));
+                        }
+                    } else {
+                        self.sleep(bank, self.device.next_activate_at(bid));
                     }
-                    (Some(r), None, _) => r,
-                    (None, Some(w), _) => w,
-                    (None, None, _) => unreachable!("bank in busy_banks has a request"),
-                };
-                if self.device.can_activate(bid, now) {
-                    contributors += 1;
-                    if act.is_none_or(|(a, ..)| head.arrived < a) {
-                        act = Some((head.arrived, bank, head.addr.row));
-                    }
-                } else {
-                    let wake = self.device.next_activate_at(bid);
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
-                }
-                continue;
-            };
-            // Open bank: find the first hit in each queue.
-            let first_hit = |q: &VecDeque<MemRequest>| {
-                q.iter()
-                    .enumerate()
-                    .find(|(_, r)| r.addr.row == open_row)
-                    .map(|(i, r)| (r.arrived, i))
-            };
-            let read_hit = first_hit(&self.read_q[bank]);
-            let write_hit = first_hit(&self.write_q[bank]);
-            if read_hit.is_some() || write_hit.is_some() {
-                if !self.device.can_column(bid, false, now) {
-                    // Read timing blocked; writes share the constraint
-                    // path closely enough to skip the bank this cycle.
-                    let wake = self.device.next_column_at(bid, false);
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
                     continue;
-                }
-                contributors += 1;
-                type Best = Option<(Cycle, usize, usize, bool)>;
-                fn offer(best: &mut Best, bank: usize, hit: Option<(Cycle, usize)>, wr: bool) {
-                    if let Some((arrived, idx)) = hit {
-                        if best.is_none_or(|(a, ..)| arrived < a) {
-                            *best = Some((arrived, bank, idx, wr));
+                };
+                // Open bank: find the first hit in each queue.
+                let first_hit = |q: &VecDeque<MemRequest>| {
+                    q.iter()
+                        .enumerate()
+                        .find(|(_, r)| r.addr.row == open_row)
+                        .map(|(i, r)| (r.arrived, i))
+                };
+                let read_hit = first_hit(&self.read_q[bank]);
+                let write_hit = first_hit(&self.write_q[bank]);
+                if read_hit.is_some() || write_hit.is_some() {
+                    if !self.device.can_column(bid, false, now) {
+                        // Read timing blocked; writes share the constraint
+                        // path closely enough to skip the bank this cycle.
+                        self.sleep(bank, self.device.next_column_at(bid, false));
+                        continue;
+                    }
+                    contributors += 1;
+                    type Best = Option<(Cycle, usize, usize, bool)>;
+                    fn offer(best: &mut Best, bank: usize, hit: Option<(Cycle, usize)>, wr: bool) {
+                        if let Some((arrived, idx)) = hit {
+                            if best.is_none_or(|(a, ..)| arrived < a) {
+                                *best = Some((arrived, bank, idx, wr));
+                            }
                         }
                     }
-                }
-                if prefer_writes {
-                    offer(&mut best, bank, write_hit, true);
-                    if best.is_none_or(|(_, b, _, w)| !(b == bank && w)) {
-                        offer(&mut best, bank, read_hit, false);
-                    }
-                } else {
-                    offer(&mut best, bank, read_hit, false);
-                    if read_hit.is_none() {
+                    if prefer_writes {
                         offer(&mut best, bank, write_hit, true);
-                    }
-                }
-            } else {
-                // Open row with no pending hit: conflict, precharge.
-                if self.device.can_precharge(bid, now) {
-                    contributors += 1;
-                    let head_arrived = self.read_q[bank]
-                        .front()
-                        .into_iter()
-                        .chain(self.write_q[bank].front())
-                        .map(|r| r.arrived)
-                        .min()
-                        .expect("bank in busy_banks has a request");
-                    if pre.is_none_or(|(a, _)| head_arrived < a) {
-                        pre = Some((head_arrived, bank));
+                        if best.is_none_or(|(_, b, _, w)| !(b == bank && w)) {
+                            offer(&mut best, bank, read_hit, false);
+                        }
+                    } else {
+                        offer(&mut best, bank, read_hit, false);
+                        if read_hit.is_none() {
+                            offer(&mut best, bank, write_hit, true);
+                        }
                     }
                 } else {
-                    let wake = self.device.next_precharge_at(bid);
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
+                    // Open row with no pending hit: conflict, precharge.
+                    if self.device.can_precharge(bid, now) {
+                        contributors += 1;
+                        let head_arrived = self.read_q[bank]
+                            .front()
+                            .into_iter()
+                            .chain(self.write_q[bank].front())
+                            .map(|r| r.arrived)
+                            .min()
+                            .expect("bank in busy_banks has a request");
+                        if pre.is_none_or(|(a, _)| head_arrived < a) {
+                            pre = Some((head_arrived, bank));
+                        }
+                    } else {
+                        self.sleep(bank, self.device.next_precharge_at(bid));
+                    }
                 }
             }
         }
+        // Covers the hints skipped above and those set during the sweep.
+        let wake_min = self.sleep_min;
 
         // Issue in priority order: column hit, then activation, then
-        // precharge.
+        // precharge. The issuing bank was a candidate, so it is awake
+        // and its hint is already clear.
         if let Some((_, bank, idx, is_write)) = best {
             if self.device.can_column(BankId(bank as u16), is_write, now) {
                 let req = if is_write {
@@ -700,7 +761,6 @@ impl MemoryController {
                 if self.read_q[bank].is_empty() && self.write_q[bank].is_empty() {
                     self.busy_banks.remove(bank);
                 }
-                self.bank_wake[bank] = 0;
                 let done = self.device.column(BankId(bank as u16), is_write, now);
                 if is_write {
                     self.stats.writes += 1;
@@ -718,13 +778,11 @@ impl MemoryController {
             }
         }
         if let Some((_, bank, row)) = act {
-            self.bank_wake[bank] = 0;
             self.device.activate(BankId(bank as u16), row, now);
             self.note_act(bank);
             return self.post_issue_bound(now, bank, contributors, wake_min);
         }
         if let Some((_, bank)) = pre {
-            self.bank_wake[bank] = 0;
             self.device.precharge(BankId(bank as u16), now);
             return self.post_issue_bound(now, bank, contributors, wake_min);
         }
@@ -776,6 +834,7 @@ mod tests {
         AddressMapper, CounterAccess, DramConfig, InDramMitigation, MappingScheme, NoMitigation,
         RfmContext,
     };
+    use proptest::prelude::*;
 
     fn controller(cfg: McConfig) -> MemoryController {
         MemoryController::new(
@@ -1131,6 +1190,122 @@ mod tests {
         assert_eq!(mc.stats().reads, 12);
         assert_eq!(mc.stats().writes, 8);
         assert!(mc.device().stats().refs >= 2);
+    }
+
+    /// A two-rank `tiny_test` controller with periodic RFM, low
+    /// write-drain watermarks and an alerting tracker, so random traffic
+    /// reaches overdue-REF ranks, sleeping banks, write drains, periodic
+    /// RFMs and alert service.
+    fn two_rank_controller(rfm_interval: u32, alert_threshold: u32) -> MemoryController {
+        let dram = DramConfig {
+            ranks: 2,
+            ..DramConfig::tiny_test()
+        };
+        let dev = DramDevice::new(dram, move |_| {
+            Box::new(AlertAt {
+                threshold: alert_threshold,
+                hot: None,
+            })
+        });
+        let cfg = McConfig {
+            write_drain_high: 6,
+            write_drain_low: 2,
+            periodic_rfm_interval: Some(rfm_interval),
+            ..McConfig::default()
+        };
+        MemoryController::new(cfg, dev)
+    }
+
+    proptest! {
+        /// Under random traffic, (i) no tick inside the dead gap `tick`
+        /// or `next_event` promised changes any statistic or completes
+        /// anything, and (ii) ticking only at the promised bounds (and
+        /// at arrivals) ends in exactly the state of ticking every cycle.
+        #[test]
+        fn tick_bounds_hold_under_random_two_rank_traffic(
+            ops in collection::vec((0u64..40, 0u64..2048, any::<bool>()), 1..80),
+            start in 0u64..8000,
+            rfm_interval in 2u32..8,
+            alert_threshold in 4u32..64,
+        ) {
+            let dram = DramConfig { ranks: 2, ..DramConfig::tiny_test() };
+            let mapper = AddressMapper::new(&dram, MappingScheme::MopXor);
+            // Traffic starts between 1500 cycles before rank 0's first
+            // REF deadline and past rank 1's, so overdue ranks overlap
+            // live demand.
+            let t0 = dram.timing.trefi - 1500 + start;
+            let mut at = t0;
+            let arrivals: Vec<(Cycle, ReqKind, dram_core::DramAddr)> = ops
+                .iter()
+                .map(|&(gap, line, write)| {
+                    at += gap;
+                    let kind = if write { ReqKind::Write } else { ReqKind::Read };
+                    (at, kind, mapper.decode(line))
+                })
+                .collect();
+            let end = at + 3000;
+            let arrive = |mc: &mut MemoryController, next: &mut usize, now: Cycle| {
+                while let Some(&(t, kind, addr)) = arrivals.get(*next) {
+                    if t != now {
+                        break;
+                    }
+                    // A rejected request is dropped; both runs see the
+                    // same rejection at the same cycle.
+                    mc.enqueue(kind, addr, *next as u64, now);
+                    *next += 1;
+                }
+            };
+            let observable = |mc: &MemoryController| {
+                (mc.device().stats().clone(), mc.stats().clone(), mc.completions.len())
+            };
+
+            let mut step = two_rank_controller(rfm_interval, alert_threshold);
+            let mut step_done = Vec::new();
+            let (mut next, mut bound) = (0, 0);
+            for now in t0..end {
+                let queued = next;
+                arrive(&mut step, &mut next, now);
+                if next != queued {
+                    bound = 0; // an enqueue voids the promise
+                }
+                let before = observable(&step);
+                let ret = step.tick(now);
+                prop_assert!(ret > now, "bound must advance");
+                if now < bound {
+                    prop_assert_eq!(
+                        observable(&step),
+                        before,
+                        "tick at {} acted inside the promised dead gap to {}",
+                        now,
+                        bound
+                    );
+                }
+                // Both are promises; checking the later one catches an
+                // overshoot by either.
+                bound = ret.max(step.next_event(now));
+                step_done.extend(step.drain_completions());
+            }
+
+            let mut jump = two_rank_controller(rfm_interval, alert_threshold);
+            let mut jump_done = Vec::new();
+            let (mut next, mut now) = (0, t0);
+            loop {
+                arrive(&mut jump, &mut next, now);
+                let ret = jump.tick(now);
+                jump_done.extend(jump.drain_completions());
+                let arrival = arrivals.get(next).map_or(Cycle::MAX, |a| a.0);
+                let to = ret.min(arrival).min(end);
+                jump.account_idle_cycles(to - now - 1);
+                if to == end {
+                    break;
+                }
+                now = to;
+            }
+            prop_assert_eq!(jump.device().stats(), step.device().stats());
+            prop_assert_eq!(jump.stats(), step.stats());
+            prop_assert_eq!(jump_done, step_done);
+            prop_assert!(step.device().stats().refs > 0, "traffic window crosses a REF");
+        }
     }
 
     #[test]

@@ -25,25 +25,31 @@
 //! this at 1, 2 and 4 channels). Set `QPRAC_NO_FASTFORWARD=1` to force
 //! the plain loop.
 //!
-//! ## Two-phase memory ticks and channel threads
+//! ## Two-phase memory ticks
 //!
 //! Each memory cycle runs in two phases. Phase A advances every channel
 //! *lane* (feed pending accesses, then tick or provably elide the
-//! controller) — lanes share nothing, so phase A is data-parallel by
-//! construction. Phase B drains the buffered completions in channel
-//! order on the coordinating thread: LLC fills, core wakeups and
-//! dirty-victim writebacks all happen there, so the shared state sees
-//! one deterministic order regardless of how phase A was scheduled.
-//! `QPRAC_CHANNEL_THREADS=K` (or [`System::with_channel_threads`])
-//! spreads phase A across K threads in per-cycle lockstep; results are
-//! bit-exact with the sequential path because both run the identical
-//! per-lane code and phase B is always sequential. Threads only pay off
-//! with multiple physical cores; the default is 1.
+//! controller). Phase B drains the buffered completions in channel
+//! order: LLC fills, core wakeups and dirty-victim writebacks all happen
+//! there, so the shared state sees one deterministic order.
+//!
+//! ## Allocation- and division-free hot path
+//!
+//! In steady state a simulated cycle allocates nothing, and the
+//! per-cycle scheduling work (core arbitration, the FR-FCFS sweep) does
+//! no integer division. The controller picks FR-FCFS candidates
+//! word-wise as `busy & !sleeping & !overdue` bank sets: timing-blocked
+//! banks sleep until their wake hint and are woken in one pass once a
+//! lower bound on the hints comes due, and banks of overdue-REF ranks
+//! are masked by per-rank bank sets. Completion buffers drain in place,
+//! the LLC recycles MSHR waiter lists from fill to the next miss, and
+//! each core caches its stall verdict, so the per-core fast-forward
+//! checks are field reads. `tests/alloc_free.rs` pins the allocation
+//! claim with a counting global allocator.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cpu_model::{CacheConfig, Core, CoreConfig, CoreMem, CoreStats, Llc, LlcAccess, TraceSource};
 use dram_core::{
@@ -52,7 +58,7 @@ use dram_core::{
 use energy_model::{EnergyBreakdown, EnergyParams};
 use mem_ctrl::{McStats, MemoryController, ReqKind};
 
-use crate::config::{env_flag, env_usize, SystemConfig};
+use crate::config::{env_flag, SystemConfig};
 use crate::stats::RunStats;
 
 /// CPU-cycle cost of moving a filled line from the LLC to the core.
@@ -139,9 +145,7 @@ impl LaneState {
 
 /// Phase A for one channel: feed pending LLC misses/writebacks into the
 /// controller, then tick it — or provably elide the tick. Completions
-/// stay buffered inside the controller for phase B. This is the
-/// *entire* per-channel cycle work, shared verbatim by the sequential
-/// and threaded schedulers, which is what makes them bit-exact.
+/// stay buffered inside the controller for phase B.
 fn lane_advance(
     mc: &mut MemoryController,
     pending: &mut VecDeque<PendingAccess>,
@@ -184,151 +188,6 @@ fn lane_advance(
     lane.head_blocked = false;
 }
 
-/// Raw pointers to the per-channel arrays for one phase-A round. Lanes
-/// are partitioned by `channel % threads`, so concurrent workers always
-/// dereference disjoint elements.
-#[derive(Clone, Copy)]
-struct LaneJob {
-    mcs: *mut MemoryController,
-    pending: *mut VecDeque<PendingAccess>,
-    lanes: *mut LaneState,
-    channels: usize,
-    threads: usize,
-    mem_cycle: u64,
-    fast_forward: bool,
-}
-
-// SAFETY: a `LaneJob` is only dereferenced inside one phase-A round,
-// bracketed by the epoch/done handshake, and each thread touches only
-// its own `channel % threads` stripe of the arrays.
-unsafe impl Send for LaneJob {}
-
-impl LaneJob {
-    /// Advance this thread's stripe of lanes.
-    ///
-    /// # Safety
-    /// The pointed-to arrays must stay alive and unmoved for the whole
-    /// round, and no other thread may use the same `thread` index.
-    unsafe fn run_stripe(&self, thread: usize) {
-        let mut ch = thread;
-        while ch < self.channels {
-            lane_advance(
-                &mut *self.mcs.add(ch),
-                &mut *self.pending.add(ch),
-                &mut *self.lanes.add(ch),
-                self.mem_cycle,
-                self.fast_forward,
-            );
-            ch += self.threads;
-        }
-    }
-}
-
-/// Epoch-based handshake between the coordinating thread and the lane
-/// workers: the coordinator publishes a job, bumps `epoch`, works its
-/// own stripe, then waits for `done` to reach the worker count.
-struct CrewShared {
-    epoch: AtomicU64,
-    done: AtomicUsize,
-    stop: AtomicBool,
-    job: Mutex<Option<LaneJob>>,
-}
-
-/// Persistent worker threads for phase A, spawned lazily on the first
-/// `run()` with an effective thread count above 1 and parked (via
-/// yield-spinning) between memory cycles.
-struct ChannelCrew {
-    shared: Arc<CrewShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ChannelCrew {
-    fn spawn(threads: usize) -> Self {
-        let shared = Arc::new(CrewShared {
-            epoch: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            job: Mutex::new(None),
-        });
-        let workers = (1..threads)
-            .map(|t| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("qprac-lane-{t}"))
-                    .spawn(move || worker_loop(&shared, t))
-                    .expect("spawn channel worker")
-            })
-            .collect();
-        ChannelCrew { shared, workers }
-    }
-
-    /// Run one phase-A round: stripe 0 on the calling thread, the rest
-    /// on the crew.
-    fn round(&self, job: LaneJob) {
-        *self.shared.job.lock().expect("crew job lock") = Some(job);
-        self.shared.done.store(0, Ordering::Relaxed);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        // SAFETY: stripe 0 is reserved for the coordinator; the arrays
-        // are fields of the `System` driving this round.
-        unsafe { job.run_stripe(0) };
-        let workers = self.workers.len();
-        let mut spins = 0u32;
-        while self.shared.done.load(Ordering::Acquire) < workers {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-impl Drop for ChannelCrew {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &CrewShared, thread: usize) {
-    let mut seen = 0u64;
-    let mut spins = 0u32;
-    loop {
-        let epoch = shared.epoch.load(Ordering::Acquire);
-        if epoch == seen {
-            spins += 1;
-            // Yield-heavy wait: crews may run on machines with fewer
-            // cores than threads, where spinning starves the
-            // coordinator.
-            if spins.is_multiple_of(16) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            continue;
-        }
-        seen = epoch;
-        spins = 0;
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let job = shared
-            .job
-            .lock()
-            .expect("crew job lock")
-            .expect("epoch bumped without a job");
-        // SAFETY: the coordinator published `job` for this epoch and
-        // waits for `done` before touching the arrays again; this
-        // thread's stripe is disjoint from every other stripe.
-        unsafe { job.run_stripe(thread) };
-        shared.done.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
 impl CoreMem for MemSide {
     fn load(&mut self, line: u64, token: u64) -> bool {
         match self.llc.access(line, false, token) {
@@ -369,6 +228,9 @@ pub struct System {
     /// One controller (device + trackers + queues) per channel.
     mcs: Vec<MemoryController>,
     cpu_cycle: u64,
+    /// The core that ticks first this cycle: `cpu_cycle % cores`, kept
+    /// incrementally so the per-cycle path has no division.
+    arb_start: usize,
     mem_cycle: u64,
     clock_acc: u64,
     /// Skip dead cycles (see the module docs); identical results either
@@ -379,12 +241,6 @@ pub struct System {
     /// ticks and `skip_dead_cycles` reuse the bounds instead of
     /// recomputing them.
     lane_state: Vec<LaneState>,
-    /// Requested phase-A parallelism (effective count is capped at the
-    /// channel count; 1 = sequential).
-    channel_threads: usize,
-    /// Lane workers, spawned lazily by `run()` when the effective
-    /// thread count exceeds 1.
-    crew: Option<ChannelCrew>,
     ff_attempts: u64,
     ff_jumps: u64,
     ff_skipped: u64,
@@ -485,12 +341,11 @@ impl System {
             },
             mcs,
             cpu_cycle: 0,
+            arb_start: 0,
             mem_cycle: 0,
             clock_acc: 0,
             fast_forward: fast_forward_default(),
             lane_state: (0..channels).map(|_| LaneState::new()).collect(),
-            channel_threads: env_usize("QPRAC_CHANNEL_THREADS", 1),
-            crew: None,
             ff_attempts: 0,
             ff_jumps: 0,
             ff_skipped: 0,
@@ -519,15 +374,6 @@ impl System {
         self
     }
 
-    /// Override the phase-A worker-thread count (defaults to
-    /// `QPRAC_CHANNEL_THREADS`, itself defaulting to 1 = sequential).
-    /// The effective count is capped at the channel count; results are
-    /// bit-exact at any setting, enforced by the differential tests.
-    pub fn with_channel_threads(mut self, threads: usize) -> Self {
-        self.channel_threads = threads.max(1);
-        self
-    }
-
     /// Advance one CPU cycle (cores) plus the proportional memory work.
     fn step(&mut self) {
         self.cpu_cycle += 1;
@@ -547,9 +393,12 @@ impl System {
         // (LLC MSHRs, controller queues) must not systematically favor
         // lower-numbered cores, or heavy workloads starve the last core.
         let n = self.cores.len();
-        let start = (self.cpu_cycle as usize) % n;
-        for k in 0..n {
-            let i = (start + k) % n;
+        self.arb_start += 1;
+        if self.arb_start == n {
+            self.arb_start = 0;
+        }
+        let start = self.arb_start;
+        for i in (start..n).chain(0..start) {
             if self.fast_forward && self.cores[i].stalled_on_memory() {
                 // A provably stalled tick is a no-op apart from the cycle
                 // counters; eliding it keeps results bit-exact (no
@@ -572,49 +421,36 @@ impl System {
         }
     }
 
-    /// One memory cycle: phase A advances every lane (in parallel when
-    /// a crew is running), phase B drains completions in channel order.
+    /// One memory cycle: phase A advances every lane, phase B drains
+    /// completions in channel order.
     fn mem_tick(&mut self) {
-        let channels = self.mcs.len();
-        if let Some(crew) = &self.crew {
-            let threads = (self.channel_threads.min(channels)).max(1);
-            crew.round(LaneJob {
-                mcs: self.mcs.as_mut_ptr(),
-                pending: self.mem.pending_issue.as_mut_ptr(),
-                lanes: self.lane_state.as_mut_ptr(),
-                channels,
-                threads,
-                mem_cycle: self.mem_cycle,
-                fast_forward: self.fast_forward,
-            });
-        } else {
-            for ch in 0..channels {
-                lane_advance(
-                    &mut self.mcs[ch],
-                    &mut self.mem.pending_issue[ch],
-                    &mut self.lane_state[ch],
-                    self.mem_cycle,
-                    self.fast_forward,
-                );
-            }
+        for ((mc, pending), lane) in self
+            .mcs
+            .iter_mut()
+            .zip(&mut self.mem.pending_issue)
+            .zip(&mut self.lane_state)
+        {
+            lane_advance(mc, pending, lane, self.mem_cycle, self.fast_forward);
         }
-        // Phase B: deterministic channel-order drain of whatever the
-        // lanes completed this cycle. LLC fills, wakeups and victim
-        // writebacks all mutate shared state, so they stay sequential.
-        for ch in 0..channels {
-            if !self.mcs[ch].has_completions() {
+        // Phase B: channel-order drain of whatever the lanes completed
+        // this cycle: LLC fills, wakeups and victim writebacks. Both the
+        // completion buffers and the MSHR waiter lists are reused, so
+        // this allocates nothing in steady state.
+        let due = self.cpu_cycle + FILL_TO_USE;
+        for mc in &mut self.mcs {
+            if !mc.has_completions() {
                 continue;
             }
-            for done in self.mcs[ch].drain_completions() {
+            for done in mc.drain_completions() {
                 if !done.was_read {
                     continue;
                 }
-                let out = self.mem.llc.fill(done.tag);
-                for token in out.waiters {
-                    let due = self.cpu_cycle + FILL_TO_USE;
-                    self.mem.ready.push(Reverse((due, token)));
-                }
-                if let Some(victim) = out.writeback {
+                let ready = &mut self.mem.ready;
+                let writeback = self
+                    .mem
+                    .llc
+                    .fill(done.tag, |token| ready.push(Reverse((due, token))));
+                if let Some(victim) = writeback {
                     // The victim decodes independently; it may target
                     // any channel, not necessarily this one.
                     self.mem.queue_access(victim, true);
@@ -684,6 +520,7 @@ impl System {
         self.ff_skipped += skip;
         self.ff_jumps += 1;
         self.cpu_cycle += skip;
+        self.arb_start = (self.cpu_cycle % self.cores.len() as u64) as usize;
         for core in &mut self.cores {
             core.skip_stalled_cycles(skip);
         }
@@ -710,10 +547,6 @@ impl System {
     pub fn run(mut self) -> RunStats {
         let safety_cap = self.cfg.instr_limit.saturating_mul(4000).max(10_000_000);
         let debug = env_flag("QPRAC_DEBUG_PROGRESS");
-        let threads = (self.channel_threads.min(self.mcs.len())).max(1);
-        if threads > 1 && self.crew.is_none() {
-            self.crew = Some(ChannelCrew::spawn(threads));
-        }
         while self.finished_at.iter().any(Option::is_none) {
             if self.fast_forward {
                 self.skip_dead_cycles();
