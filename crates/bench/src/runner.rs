@@ -901,13 +901,8 @@ mod tests {
         let merged = scrape_cluster(&shards).expect("both shards scrape");
         assert_eq!(merged.counter("qprac_simulated_total"), 2);
         assert!(merged.counter("qprac_requests_total") >= 2);
-        // Client::run prefers the binary RUNB verb; either way the two
-        // requests' latencies must survive the merge.
-        let lat: u64 = ["qprac_lat_run_us", "qprac_lat_runb_us"]
-            .iter()
-            .filter_map(|name| merged.hists.get(*name))
-            .map(|h| h.count())
-            .sum();
+        // The two RUNB latencies must survive the merge.
+        let lat = merged.hists["qprac_lat_runb_us"].count();
         assert_eq!(lat, 2, "run latency histograms merge across shards");
         // The merged snapshot still renders as valid exposition text.
         let text = merged.render_prometheus();

@@ -1,22 +1,24 @@
 //! Deterministic fault injection for the service stack.
 //!
 //! `QPRAC_CHAOS=<seed>:<spec>` arms a seeded fault injector inside the
-//! server: connections can be dropped at accept, reads delayed, response
-//! frames truncated mid-payload, and single-flight *leaders* killed
-//! mid-simulation (exercising the poison-publication path that keeps
-//! followers from hanging). The injector is std-only and driven by one
-//! [`SplitMix64`] stream, so a given seed produces a reproducible fault
-//! sequence — the chaos integration suite replays the same flaky
-//! cluster on every run.
+//! server's event loop: `RUNB` requests can have their connection
+//! dropped, their dispatch deferred, or their reply frame truncated,
+//! and single-flight *leaders* can be killed mid-simulation (exercising
+//! the poison-publication path that keeps followers from hanging). The
+//! injector is std-only and driven by one [`SplitMix64`] stream, so a
+//! given seed produces a reproducible fault sequence — the chaos
+//! integration suite replays the same flaky cluster on every run.
 //!
-//! `<spec>` is a comma-separated fault list:
+//! `<spec>` is a comma-separated fault list. Faults hit the cell verb
+//! `RUNB` only; control verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/
+//! `SHUTDOWN`) are never faulted, so a chaotic server stays observable.
 //!
-//! | token        | fault                                                |
-//! |--------------|------------------------------------------------------|
-//! | `drop=P`     | close an accepted connection immediately, prob. `P`  |
-//! | `delay=P/MS` | stall a socket read `MS` ms, probability `P`         |
-//! | `trunc=P`    | cut a response frame mid-payload and kill the socket |
-//! | `kill=N`     | panic the first `N` single-flight leaders mid-run    |
+//! | token        | fault                                                      |
+//! |--------------|------------------------------------------------------------|
+//! | `drop=P`     | close the connection instead of dispatching the `RUNB`     |
+//! | `delay=P/MS` | hold the `RUNB` `MS` ms, then dispatch it (nothing sleeps) |
+//! | `trunc=P`    | send a strict prefix of the reply frame, then hang up      |
+//! | `kill=N`     | panic the first `N` single-flight leaders mid-run          |
 //!
 //! e.g. `QPRAC_CHAOS=7:drop=0.05,delay=0.1/20,trunc=0.05,kill=1`.
 //!
@@ -25,8 +27,6 @@
 //! cluster slows clients down but never changes their results (the
 //! key-only protocol is idempotent; re-driving a key is always safe).
 
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -38,13 +38,13 @@ use crate::backoff::SplitMix64;
 pub struct ChaosSpec {
     /// PRNG seed for every probabilistic fault decision.
     pub seed: u64,
-    /// Probability an accepted connection is dropped on the floor.
+    /// Probability a `RUNB`'s connection is closed instead of served.
     pub drop_prob: f64,
-    /// Probability any single read is delayed by [`Self::delay`].
+    /// Probability a `RUNB`'s dispatch is deferred by [`Self::delay`].
     pub delay_prob: f64,
-    /// Read-stall injected when the delay fault fires.
+    /// Dispatch deferral injected when the delay fault fires.
     pub delay: Duration,
-    /// Probability a response write is truncated mid-frame.
+    /// Probability a `RUNB` reply frame is truncated.
     pub trunc_prob: f64,
     /// Number of single-flight leaders to kill (a budget, not a
     /// probability: tests need "exactly one leader dies").
@@ -122,11 +122,11 @@ pub struct Chaos {
     spec: ChaosSpec,
     rng: Mutex<SplitMix64>,
     kills_left: AtomicU32,
-    /// Connections dropped at accept.
+    /// Connections dropped in place of a `RUNB` dispatch.
     pub dropped: AtomicU64,
-    /// Reads delayed.
+    /// `RUNB` dispatches deferred.
     pub delayed: AtomicU64,
-    /// Response frames truncated.
+    /// `RUNB` reply frames truncated.
     pub truncated: AtomicU64,
     /// Single-flight leaders killed.
     pub killed: AtomicU64,
@@ -153,7 +153,7 @@ impl Chaos {
         self.rng.lock().unwrap().chance(p)
     }
 
-    /// Should this freshly-accepted connection be dropped?
+    /// Should the connection carrying this `RUNB` be dropped?
     pub fn drop_connection(&self) -> bool {
         let fired = self.chance(self.spec.drop_prob);
         if fired {
@@ -162,8 +162,9 @@ impl Chaos {
         fired
     }
 
-    /// Stall to inject before a read, if the delay fault fires.
-    pub fn read_delay(&self) -> Option<Duration> {
+    /// How long to hold this `RUNB` before dispatching it, if the delay
+    /// fault fires.
+    pub fn dispatch_delay(&self) -> Option<Duration> {
         if self.chance(self.spec.delay_prob) {
             self.delayed.fetch_add(1, Ordering::Relaxed);
             Some(self.spec.delay)
@@ -172,8 +173,8 @@ impl Chaos {
         }
     }
 
-    /// Should this response write be truncated mid-frame?
-    pub fn truncate_write(&self) -> bool {
+    /// Should this `RUNB` reply frame be truncated?
+    pub fn truncate_reply(&self) -> bool {
         let fired = self.chance(self.spec.trunc_prob);
         if fired {
             self.truncated.fetch_add(1, Ordering::Relaxed);
@@ -207,72 +208,9 @@ impl Chaos {
     }
 }
 
-/// A [`TcpStream`] wrapper that injects the read-delay and
-/// write-truncation faults. Truncation writes half the caller's bytes,
-/// shuts the socket down both ways and reports `BrokenPipe` — exactly
-/// what a peer observing a mid-frame crash would see.
-pub struct ChaosStream<'a> {
-    inner: TcpStream,
-    chaos: &'a Chaos,
-    dead: bool,
-}
-
-impl<'a> ChaosStream<'a> {
-    /// Wrap one direction of a connection.
-    pub fn new(inner: TcpStream, chaos: &'a Chaos) -> Self {
-        ChaosStream {
-            inner,
-            chaos,
-            dead: false,
-        }
-    }
-}
-
-impl Read for ChaosStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.dead {
-            return Ok(0); // a killed socket reads as EOF
-        }
-        if let Some(delay) = self.chaos.read_delay() {
-            std::thread::sleep(delay);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl Write for ChaosStream<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "chaos-killed"));
-        }
-        if !buf.is_empty() && self.chaos.truncate_write() {
-            let cut = buf.len() / 2;
-            if cut > 0 {
-                let _ = self.inner.write(&buf[..cut]);
-            }
-            let _ = self.inner.flush();
-            let _ = self.inner.shutdown(Shutdown::Both);
-            self.dead = true;
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "chaos: frame truncated mid-payload",
-            ));
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "chaos-killed"));
-        }
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
     #[test]
     fn specs_parse_and_reject_garbage() {
@@ -315,7 +253,7 @@ mod tests {
                     if i % 2 == 0 {
                         chaos.drop_connection()
                     } else {
-                        chaos.truncate_write()
+                        chaos.truncate_reply()
                     }
                 })
                 .collect()
@@ -339,49 +277,5 @@ mod tests {
         chaos.kill_leader(); // budget exhausted: a no-op, not a panic
         assert_eq!(chaos.killed.load(Ordering::Relaxed), 2);
         assert!(chaos.render().contains("chaos_killed=2"));
-    }
-
-    /// A connected local socket pair.
-    fn socket_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
-
-    #[test]
-    fn truncation_cuts_the_frame_and_kills_the_socket() {
-        let (tx, mut rx) = socket_pair();
-        let chaos = Chaos::new(ChaosSpec::parse("1:trunc=1").unwrap());
-        let mut stream = ChaosStream::new(tx, &chaos);
-        let err = stream.write(b"0123456789abcdef").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // The peer sees exactly the truncated prefix, then EOF.
-        let mut got = Vec::new();
-        rx.read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"01234567", "half the frame, then the cut");
-        // The chaos side is dead for good.
-        assert!(stream.write(b"more").is_err());
-        assert_eq!(stream.read(&mut [0u8; 4]).unwrap(), 0, "EOF after kill");
-        assert_eq!(chaos.truncated.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn read_delay_stalls_then_delivers_intact() {
-        let (tx, rx) = socket_pair();
-        let chaos = Chaos::new(ChaosSpec::parse("1:delay=1/30").unwrap());
-        let mut stream = ChaosStream::new(rx, &chaos);
-        let mut tx = tx;
-        tx.write_all(b"payload").unwrap();
-        let t0 = std::time::Instant::now();
-        let mut buf = [0u8; 7];
-        stream.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"payload", "delay must not corrupt data");
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "the armed delay must actually stall the read"
-        );
-        assert!(chaos.delayed.load(Ordering::Relaxed) >= 1);
     }
 }

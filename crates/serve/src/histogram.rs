@@ -1,21 +1,18 @@
 //! Per-verb latency histograms for the service's `STATS`/`HEALTH`
 //! output.
 //!
-//! The histogram type itself now lives in [`qprac_obs::hist`] (this
-//! module re-exports it, so existing `qprac_serve::histogram::Histogram`
-//! users keep compiling): the same log2-bucket layout backs the bench
-//! runner's phase profiles and the cluster-wide `METRICS` merge, and
-//! both the `name=value` rendering here and the Prometheus exposition
-//! are derived from one [`HistSnapshot`] so they can never drift.
+//! The histogram type is [`qprac_obs::hist::Histogram`]: the same
+//! log2-bucket layout backs the bench runner's phase profiles and the
+//! cluster-wide `METRICS` merge, and both the `name=value` rendering
+//! here and the Prometheus exposition are derived from one
+//! [`qprac_obs::HistSnapshot`] so they can never drift.
 
-pub use qprac_obs::hist::{bucket_index, bucket_upper_us, HistSnapshot, Histogram, BUCKETS};
+use qprac_obs::hist::Histogram;
 
 /// One histogram per request verb.
 #[derive(Debug, Default)]
 pub struct VerbHistograms {
-    /// Text `RUN` resolves (includes simulation time on a cold cell).
-    pub run: Histogram,
-    /// Binary `RUNB` resolves.
+    /// `RUNB` resolves (includes simulation time on a cold cell).
     pub runb: Histogram,
     /// `STATS` renders.
     pub stats: Histogram,
@@ -29,9 +26,8 @@ pub struct VerbHistograms {
 
 impl VerbHistograms {
     /// Verb-name/histogram pairs, in rendering order.
-    pub fn verbs(&self) -> [(&'static str, &Histogram); 6] {
+    pub fn verbs(&self) -> [(&'static str, &Histogram); 5] {
         [
-            ("run", &self.run),
             ("runb", &self.runb),
             ("stats", &self.stats),
             ("health", &self.health),
@@ -58,12 +54,12 @@ mod tests {
         let mut out = String::new();
         v.render(&mut out);
         assert!(out.is_empty(), "no observations, no lines");
-        v.run.record_us(100);
-        v.run.record_us(200);
+        v.runb.record_us(100);
+        v.runb.record_us(200);
         v.render(&mut out);
-        assert!(out.contains("lat_run_count=2"), "{out}");
-        assert!(out.contains("lat_run_p50_us=127"), "{out}");
-        assert!(out.contains("lat_run_p99_us=255"), "{out}");
+        assert!(out.contains("lat_runb_count=2"), "{out}");
+        assert!(out.contains("lat_runb_p50_us=127"), "{out}");
+        assert!(out.contains("lat_runb_p99_us=255"), "{out}");
         assert!(!out.contains("lat_ping"), "{out}");
     }
 

@@ -6,12 +6,14 @@
 //! comparisons) share one warm cache and one bounded worker pool
 //! instead of each re-simulating the same baselines.
 //!
-//! - [`protocol`] — the line-oriented wire format (payloads are the
-//!   [`sim::serdes`] cache text; nothing new is invented);
+//! - [`protocol`] — the line-oriented wire format (cell payloads are
+//!   the [`sim::codec`] binary encoding; nothing new is invented);
 //! - [`server`] — the daemon with the three-tier resolve path (LRU →
 //!   persistent [`sim::RunCache`] → simulate) and single-flight
-//!   coalescing, served by an event-driven poll-readiness loop on unix
-//!   (thread-per-connection elsewhere, or under chaos injection);
+//!   coalescing, served by an event-driven poll-readiness loop (unix
+//!   only: it needs `poll(2)`);
+//! - [`chaos`] — seeded fault injection on that loop, for tests and
+//!   CI;
 //! - [`shard`] — client-side consistent-hash routing: which shard of a
 //!   cluster owns a [`sim::RunKey`];
 //! - [`histogram`] — the per-verb latency histograms behind the
@@ -56,9 +58,9 @@ pub mod shard;
 pub mod singleflight;
 
 pub use backoff::{schedule, RetryPolicy, SplitMix64};
-pub use chaos::{Chaos, ChaosSpec, ChaosStream};
+pub use chaos::{Chaos, ChaosSpec};
 pub use client::{timeout_from_env, Client, ClientError, DEFAULT_TIMEOUT};
-pub use histogram::{Histogram, VerbHistograms};
+pub use histogram::VerbHistograms;
 #[cfg(unix)]
 pub use poll::raise_nofile_limit;
 pub use server::{Server, ServerConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};

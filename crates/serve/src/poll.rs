@@ -9,8 +9,8 @@
 //! tests — plus a [`WakePipe`] (a nonblocking socketpair) so worker
 //! threads can interrupt a blocked `poll` from the outside.
 //!
-//! Everything here is unix-only and compiled out elsewhere; the server
-//! falls back to its thread-per-connection loop on non-unix targets.
+//! Everything here is unix-only and compiled out elsewhere; on
+//! non-unix targets `Server::serve` reports `Unsupported`.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};

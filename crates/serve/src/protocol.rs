@@ -1,15 +1,8 @@
 //! The `qprac-serve` wire protocol: line-oriented requests,
 //! length-prefixed responses.
 //!
-//! No serialization is invented here — payloads are the exact
-//! [`sim::serdes`] cache-text forms (`RunStats::to_cache_text`,
-//! `attack_to_text`, a decimal count), so a response body is
-//! byte-identical to the corresponding run-cache file body and a client
-//! can feed it straight back into [`sim::CellResult::from_payload`].
-//!
 //! ```text
-//! request  := "RUN " <canonical run-key text> "\n"
-//!           | "RUNB " <canonical run-key text> "\n"
+//! request  := "RUNB " <canonical run-key text> "\n"
 //!           | "STATS\n"
 //!           | "HEALTH\n"
 //!           | "METRICS\n"
@@ -18,15 +11,14 @@
 //! response := "OK " <kind> " " <len> "\n" <len payload bytes>
 //!           | "OKB " <len> "\n" <len frame bytes>
 //!           | "ERR " <len> "\n" <len message bytes>
-//! kind     := "stats" | "attack" | "count" | "text"
+//! kind     := "text"
 //! ```
 //!
-//! `RUNB` is the binary-payload variant of `RUN`: the same resolve
-//! path, answered with an `OKB` frame whose payload is the
-//! [`sim::codec`] cell encoding (self-describing kind, versioned,
-//! checksummed) — so warm remote hits skip text parsing entirely. A
-//! server that predates `RUNB` answers `ERR unknown request ...`;
-//! clients fall back to `RUN` and remember per connection.
+//! `RUNB` resolves one cell and is answered with an `OKB` frame whose
+//! payload is the [`sim::codec`] cell encoding (self-describing kind,
+//! versioned, checksummed) — the same bytes as a binary run-cache
+//! entry, so warm remote hits skip text parsing entirely. The control
+//! verbs answer `OK text` with a `name=value` or Prometheus body.
 //!
 //! Requests are single lines because canonical run keys never contain
 //! newlines; responses are length-prefixed because stats payloads are
@@ -43,10 +35,8 @@ pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Resolve one cell by its canonical [`sim::RunKey`] text.
-    Run(String),
-    /// [`Request::Run`] answered in the binary cell encoding
-    /// ([`Response::OkBin`]).
+    /// Resolve one cell by its canonical [`sim::RunKey`] text, answered
+    /// in the binary cell encoding ([`Response::OkBin`]).
     RunBin(String),
     /// Server counters (requests / hits / simulated / coalesced).
     Stats,
@@ -65,12 +55,12 @@ pub enum Request {
 /// One server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Success: a result payload tagged with its kind (`stats` /
-    /// `attack` / `count` for cell results, `text` for STATS/PING).
+    /// Success for a control verb: a text payload tagged with its kind
+    /// (`text`).
     Ok {
         /// Payload kind tag.
         kind: String,
-        /// Payload body (the serdes text form).
+        /// Payload body.
         payload: String,
     },
     /// Success for a `RUNB` request: a [`sim::codec`] cell frame.
@@ -121,13 +111,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         return Ok(Request::RunBin(key.to_string()));
     }
-    if let Some(key) = line.strip_prefix("RUN ") {
-        let key = key.trim();
-        if key.is_empty() {
-            return Err("RUN needs a run-key argument".into());
-        }
-        return Ok(Request::Run(key.to_string()));
-    }
     match line.trim_end() {
         "STATS" => Ok(Request::Stats),
         "HEALTH" => Ok(Request::Health),
@@ -135,7 +118,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "SHUTDOWN" => Ok(Request::Shutdown),
         "PING" => Ok(Request::Ping),
         other => Err(format!(
-            "unknown request {:?} (expected RUN <key> | RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
+            "unknown request {:?} (expected RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
             clip(other, 80)
         )),
     }
@@ -144,7 +127,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Write one request line.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
-        Request::Run(key) => writeln!(w, "RUN {key}"),
         Request::RunBin(key) => writeln!(w, "RUNB {key}"),
         Request::Stats => writeln!(w, "STATS"),
         Request::Health => writeln!(w, "HEALTH"),
@@ -252,7 +234,6 @@ mod tests {
     #[test]
     fn requests_render_and_parse() {
         for req in [
-            Request::Run("workload:x;cores=4".into()),
             Request::RunBin("workload:x;cores=4".into()),
             Request::Stats,
             Request::Health,
@@ -265,7 +246,7 @@ mod tests {
             let line = read_line(&mut Cursor::new(buf)).unwrap().unwrap();
             assert_eq!(parse_request(&line).unwrap(), req);
         }
-        assert!(parse_request("RUN ").is_err());
+        assert!(parse_request("RUN workload:x;cores=4").is_err());
         assert!(parse_request("RUNB ").is_err());
         assert!(parse_request("DELETE everything").is_err());
         assert!(parse_request("").is_err());

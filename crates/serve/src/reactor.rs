@@ -1,5 +1,5 @@
 //! The event-driven server core: a bounded `poll(2)` readiness loop
-//! over nonblocking sockets, replacing thread-per-connection.
+//! over nonblocking sockets.
 //!
 //! One reactor thread owns every connection as a small state machine
 //! (read buffer → framed request → response buffer); the only other
@@ -11,19 +11,24 @@
 //!
 //! Division of labor per request:
 //!
-//! - cheap verbs (`PING`/`STATS`/`HEALTH`/`SHUTDOWN`) are answered
-//!   inline on the reactor thread;
-//! - `RUN`/`RUNB` are handed to the dispatch pool, which drives the
-//!   same three-tier [`resolve`] path as the threaded server (LRU →
-//!   disk → semaphore-bounded single-flight simulation) and posts the
-//!   response back through a [`WakePipe`].
+//! - cheap verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/`SHUTDOWN`) are
+//!   answered inline on the reactor thread;
+//! - `RUNB` is handed to the dispatch pool, which drives the three-tier
+//!   [`resolve`] path (LRU → disk → semaphore-bounded single-flight
+//!   simulation) and posts the response back through a [`WakePipe`].
 //!
-//! Per-connection ordering matches the threaded server exactly: one
-//! request is in flight per connection at a time, and pipelined
-//! requests queue in the connection's read buffer (bounded — a flooding
-//! peer hits TCP backpressure, never unbounded memory).
+//! Requests on one connection are answered in order: one request is in
+//! flight per connection at a time, and pipelined requests queue in the
+//! connection's read buffer (bounded — a flooding peer hits TCP
+//! backpressure, never unbounded memory).
 //!
-//! `SHUTDOWN` drains like the threaded path: accepting stops, in-flight
+//! Armed chaos ([`crate::chaos`]) faults `RUNB` here, on the same loop:
+//! a dropped `RUNB` closes its connection once earlier replies flush, a
+//! delayed one waits in a deadline list that bounds the `poll` timeout
+//! (nothing sleeps), and a truncated reply is cut to a strict prefix
+//! before the hang-up. The leader kill happens inside [`resolve`].
+//!
+//! `SHUTDOWN` drains: accepting stops, in-flight (and deferred)
 //! resolves complete, their responses flush, then the loop exits.
 
 use std::collections::VecDeque;
@@ -35,6 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use crate::chaos::Chaos;
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{parse_request, write_response, Request, Response, MAX_LINE};
 use crate::server::{metrics_payload, render_health, resolve, stats_payload, Inner};
@@ -44,11 +50,10 @@ use crate::server::{metrics_payload, render_health, resolve, stats_payload, Inne
 /// floods pipelined requests cannot balloon server memory.
 const RBUF_SOFT_CAP: usize = 256 * 1024;
 
-/// One queued `RUN`/`RUNB` resolve.
+/// One queued `RUNB` resolve.
 struct DispatchJob {
     slot: usize,
     gen: u64,
-    binary: bool,
     key_text: String,
     t0: Instant,
 }
@@ -100,28 +105,14 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
         // outer guard is for the truly unexpected (e.g. a poisoned
         // cache mutex) so a worker never dies and strands the reactor.
         let response = match catch_unwind(AssertUnwindSafe(|| resolve(inner, &job.key_text))) {
-            Ok(Ok(result)) => {
-                if job.binary {
-                    Response::OkBin(sim::codec::encode_cell(&result))
-                } else {
-                    Response::Ok {
-                        kind: result.kind().into(),
-                        payload: result.payload(),
-                    }
-                }
-            }
+            Ok(Ok(result)) => Response::OkBin(sim::codec::encode_cell(&result)),
             Ok(Err(reason)) => Response::Err(reason),
             Err(_) => Response::Err("simulation worker panicked".into()),
         };
         if matches!(response, Response::Err(_)) {
             inner.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let hist = if job.binary {
-            &inner.hist.runb
-        } else {
-            &inner.hist.run
-        };
-        hist.record(job.t0.elapsed());
+        inner.hist.runb.record(job.t0.elapsed());
         shared.done.lock().unwrap().push(DispatchDone {
             slot: job.slot,
             gen: job.gen,
@@ -142,10 +133,10 @@ struct Conn {
     /// Serialized responses not yet written, from `wpos` on.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// A `RUN`/`RUNB` is with the dispatch pool; no further requests
-    /// are parsed until it completes (per-connection ordering).
+    /// A `RUNB` is with the dispatch pool (or deferred); no further
+    /// requests are parsed until it completes (per-connection ordering).
     busy: bool,
-    /// Peer EOF seen (or shutdown): finish writing, then close.
+    /// Peer EOF seen (or a chaos hang-up): finish writing, then close.
     closing: bool,
 }
 
@@ -158,10 +149,27 @@ impl Conn {
         // Writing into a Vec cannot fail.
         write_response(&mut self.wbuf, response).expect("vec write");
     }
+
+    /// The truncation fault: queue a strict, non-empty prefix of
+    /// `response`'s frame, then hang up once it flushes.
+    fn push_truncated(&mut self, response: &Response) {
+        let start = self.wbuf.len();
+        self.push_response(response);
+        let frame_len = self.wbuf.len() - start;
+        self.wbuf.truncate(start + frame_len / 2);
+        self.hang_up();
+    }
+
+    /// Stop reading (discarding unparsed requests) and close once the
+    /// queued replies flush.
+    fn hang_up(&mut self) {
+        self.rbuf.clear();
+        self.closing = true;
+    }
 }
 
 /// The poll-readiness accept/serve loop. Returns after a `SHUTDOWN`
-/// drain, like the threaded `Server::serve`.
+/// drain.
 pub(crate) fn serve_event_driven(listener: TcpListener, inner: Arc<Inner>) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let shared = Arc::new(DispatchShared {
@@ -190,6 +198,7 @@ pub(crate) fn serve_event_driven(listener: TcpListener, inner: Arc<Inner>) -> io
         free: Vec::new(),
         next_gen: 0,
         jobs_in_flight: 0,
+        deferred: Vec::new(),
         accepting: true,
     };
     let outcome = reactor.run();
@@ -209,8 +218,11 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
-    /// Dispatched resolves not yet completed (queued or executing).
+    /// Dispatched resolves not yet completed (deferred, queued or
+    /// executing).
     jobs_in_flight: usize,
+    /// Chaos-delayed resolves and the instant each may be dispatched.
+    deferred: Vec<(Instant, DispatchJob)>,
     accepting: bool,
 }
 
@@ -219,9 +231,6 @@ impl Reactor {
         let mut fds: Vec<PollFd> = Vec::new();
         let mut polled_slots: Vec<usize> = Vec::new();
         loop {
-            // A SHUTDOWN may also arrive via the threaded path's flag
-            // (e.g. an embedder); honor it regardless of which
-            // connection carried the verb.
             if self.inner.shutting_down.load(Ordering::SeqCst) {
                 self.accepting = false;
                 let drained =
@@ -250,8 +259,9 @@ impl Reactor {
                 polled_slots.push(slot);
             }
 
-            poll_fds(&mut fds, -1)?;
+            poll_fds(&mut fds, self.poll_timeout_ms())?;
 
+            self.release_deferred();
             if fds[0].returned(POLLIN) {
                 self.shared.wake.drain();
             }
@@ -299,20 +309,13 @@ impl Reactor {
                         busy: false,
                         closing: false,
                     };
-                    let slot = match self.free.pop() {
-                        Some(slot) => {
-                            self.conns[slot] = Some(conn);
-                            slot
-                        }
-                        None => {
-                            self.conns.push(Some(conn));
-                            self.conns.len() - 1
-                        }
-                    };
+                    match self.free.pop() {
+                        Some(slot) => self.conns[slot] = Some(conn),
+                        None => self.conns.push(Some(conn)),
+                    }
                     self.inner
                         .connections
                         .store(self.live_connections(), Ordering::Relaxed);
-                    let _ = slot;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -327,11 +330,33 @@ impl Reactor {
         self.conns.len() - self.free.len()
     }
 
+    /// Milliseconds until the earliest deferred dispatch is due (rounded
+    /// up, so the loop never spins before it), or -1 to wait forever.
+    fn poll_timeout_ms(&self) -> i32 {
+        let Some(due) = self.deferred.iter().map(|(due, _)| *due).min() else {
+            return -1;
+        };
+        let wait = due.saturating_duration_since(Instant::now());
+        wait.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+    }
+
+    /// Hand every deferred resolve whose hold has elapsed to the pool.
+    fn release_deferred(&mut self) {
+        let now = Instant::now();
+        for (_, job) in self.deferred.extract_if(.., |(due, _)| *due <= now) {
+            self.shared.submit(job);
+        }
+    }
+
     fn handle_done(&mut self, done: DispatchDone) {
         self.jobs_in_flight -= 1;
         let stale = match self.conns[done.slot].as_mut() {
             Some(c) if c.gen == done.gen => {
-                c.push_response(&done.response);
+                if self.inner.chaos.as_ref().is_some_and(Chaos::truncate_reply) {
+                    c.push_truncated(&done.response);
+                } else {
+                    c.push_response(&done.response);
+                }
                 c.busy = false;
                 false
             }
@@ -379,8 +404,8 @@ impl Reactor {
 
     /// Consume complete request lines until the connection goes busy or
     /// runs out of input. Returns false when the connection must close
-    /// (oversized line / non-UTF-8 — the same conditions that error the
-    /// threaded path's `read_line`).
+    /// (oversized line / non-UTF-8 — the same conditions that error
+    /// [`crate::protocol::read_line`]).
     fn advance(&mut self, c: &mut Conn, slot: usize) -> bool {
         while !c.busy {
             let window = c.rbuf.len().min(MAX_LINE as usize);
@@ -437,8 +462,13 @@ impl Reactor {
                         payload: "draining".into(),
                     });
                 }
-                Ok(Request::Run(key_text)) => self.dispatch(c, slot, key_text, false, t0),
-                Ok(Request::RunBin(key_text)) => self.dispatch(c, slot, key_text, true, t0),
+                Ok(Request::RunBin(key_text)) => {
+                    if inner.chaos.as_ref().is_some_and(Chaos::drop_connection) {
+                        c.hang_up();
+                        return true;
+                    }
+                    self.dispatch(c, slot, key_text, t0);
+                }
                 Err(reason) => {
                     inner.counters.errors.fetch_add(1, Ordering::Relaxed);
                     c.push_response(&Response::Err(reason));
@@ -448,16 +478,19 @@ impl Reactor {
         true
     }
 
-    fn dispatch(&mut self, c: &mut Conn, slot: usize, key_text: String, binary: bool, t0: Instant) {
+    fn dispatch(&mut self, c: &mut Conn, slot: usize, key_text: String, t0: Instant) {
         c.busy = true;
         self.jobs_in_flight += 1;
-        self.shared.submit(DispatchJob {
+        let job = DispatchJob {
             slot,
             gen: c.gen,
-            binary,
             key_text,
             t0,
-        });
+        };
+        match self.inner.chaos.as_ref().and_then(Chaos::dispatch_delay) {
+            Some(delay) => self.deferred.push((Instant::now() + delay, job)),
+            None => self.shared.submit(job),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The `qprac-serve` daemon: a std-only TCP service that resolves
 //! simulation cells by canonical [`RunKey`] text.
 //!
-//! Every `RUN <key>` request walks a three-tier path:
+//! Every `RUNB <key>` request walks a three-tier path:
 //!
 //! 1. **Memory** — an entry-capped LRU of `Arc`-shared results;
 //! 2. **Disk** — the persistent [`sim::RunCache`] (same files, same
@@ -12,29 +12,26 @@
 //!    single-flight coalescing so N concurrent requests for the same
 //!    key trigger exactly one run.
 //!
-//! Two serve loops share that resolve path. The default on unix is the
-//! event-driven poll-readiness core ([`crate::reactor`]): one event
-//! loop plus a fixed dispatch pool, so thousands of idle connections
-//! cost buffers, not OS threads. Chaos injection (blocking-stream
-//! fault wrappers), `QPRAC_SERVE_THREADED=1`, and non-unix targets use
-//! the legacy thread-per-connection loop. Either way the semaphore is
-//! what actually bounds simulation parallelism, so a thousand clients
-//! asking for twelve distinct cells produce at most `workers`
-//! concurrent simulations and zero duplicates.
+//! One serve loop drives that resolve path: the event-driven
+//! poll-readiness core ([`crate::reactor`]), one event loop plus a
+//! fixed dispatch pool, so thousands of idle connections cost buffers,
+//! not OS threads. It needs `poll(2)`, so the server is unix-only. The
+//! semaphore is what actually bounds simulation parallelism, so a
+//! thousand clients asking for twelve distinct cells produce at most
+//! `workers` concurrent simulations and zero duplicates.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sim::{CellResult, RunCache, RunKey};
 
-use crate::chaos::{Chaos, ChaosSpec, ChaosStream};
+use crate::chaos::{Chaos, ChaosSpec};
 use crate::histogram::VerbHistograms;
 use crate::memcache::LruCache;
-use crate::protocol::{parse_request, read_line, write_response, Request, Response};
 use crate::singleflight::Group;
 
 /// Default listen address of the daemon.
@@ -61,15 +58,6 @@ pub struct ServerConfig {
     /// Concurrent-connection ceiling: past it, new connections are
     /// refused at accept (hang-up, no bytes) and counted.
     pub max_conns: usize,
-    /// Force the legacy thread-per-connection loop even where the
-    /// event-driven core is available (`QPRAC_SERVE_THREADED=1`).
-    /// Chaos injection always implies it — the fault wrappers are
-    /// blocking-stream shaped.
-    pub threaded: bool,
-    /// Connect timeout for the `SHUTDOWN` self-wake dial in the
-    /// threaded loop (the configured client timeout, not a hardcoded
-    /// constant).
-    pub wake_timeout: Duration,
 }
 
 impl ServerConfig {
@@ -77,10 +65,7 @@ impl ServerConfig {
     /// `QPRAC_JOBS` (same knob as the bench pool; 0/unset = machine
     /// parallelism), `QPRAC_RUN_CACHE`/`QPRAC_RUN_CACHE_MAX_MB`,
     /// `QPRAC_CHAOS` (seeded fault injection, tests/CI only),
-    /// `QPRAC_SERVE_MAX_CONNS` (connection ceiling),
-    /// `QPRAC_SERVE_THREADED` (opt out of the event-driven core), and
-    /// `QPRAC_REMOTE_TIMEOUT_MS` (shared with the client; also the
-    /// `SHUTDOWN` self-wake dial timeout).
+    /// and `QPRAC_SERVE_MAX_CONNS` (connection ceiling).
     pub fn from_env() -> Self {
         let available = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -96,8 +81,6 @@ impl ServerConfig {
             disk: RunCache::from_env(),
             chaos: ChaosSpec::from_env(),
             max_conns: sim::env_usize("QPRAC_SERVE_MAX_CONNS", DEFAULT_MAX_CONNS),
-            threaded: sim::env_usize("QPRAC_SERVE_THREADED", 0) != 0,
-            wake_timeout: crate::client::timeout_from_env(),
         }
     }
 }
@@ -112,8 +95,6 @@ impl Default for ServerConfig {
             disk: RunCache::disabled(),
             chaos: None,
             max_conns: DEFAULT_MAX_CONNS,
-            threaded: false,
-            wake_timeout: crate::client::DEFAULT_TIMEOUT,
         }
     }
 }
@@ -123,31 +104,27 @@ impl Default for ServerConfig {
 pub struct Counters {
     /// Requests received (all verbs).
     pub requests: AtomicU64,
-    /// `RUN`s answered from the in-memory LRU.
+    /// `RUNB`s answered from the in-memory LRU.
     pub mem_hits: AtomicU64,
-    /// `RUN`s answered from the persistent disk cache.
+    /// `RUNB`s answered from the persistent disk cache.
     pub disk_hits: AtomicU64,
     /// Cells actually simulated.
     pub simulated: AtomicU64,
-    /// `RUN`s coalesced onto another request's in-flight simulation.
+    /// `RUNB`s coalesced onto another request's in-flight simulation.
     pub coalesced: AtomicU64,
     /// Requests answered with `ERR`.
     pub errors: AtomicU64,
-    /// `RUN`s naming a mitigation this build does not register — the
+    /// `RUNB`s naming a mitigation this build does not register — the
     /// forward-compatibility signal that a newer peer is in the fleet
     /// (a subset of `errors`, counted separately so operators can tell
     /// version skew from garbage input).
     pub unknown_mitigation: AtomicU64,
-    /// `SHUTDOWN` self-wake dials that failed (threaded loop only; the
-    /// drain still completes — accept() observes the flag on the next
-    /// connection — but a nonzero count flags a wedged listener).
-    pub wake_failures: AtomicU64,
 }
 
 impl Counters {
     fn render(&self, in_flight: usize, store_errors: u64) -> String {
         format!(
-            "requests={}\nmem_hits={}\ndisk_hits={}\nsimulated={}\ncoalesced={}\nerrors={}\nunknown_mitigation={}\nwake_failures={}\nstore_errors={store_errors}\nin_flight={in_flight}",
+            "requests={}\nmem_hits={}\ndisk_hits={}\nsimulated={}\ncoalesced={}\nerrors={}\nunknown_mitigation={}\nstore_errors={store_errors}\nin_flight={in_flight}",
             self.requests.load(Ordering::Relaxed),
             self.mem_hits.load(Ordering::Relaxed),
             self.disk_hits.load(Ordering::Relaxed),
@@ -155,7 +132,6 @@ impl Counters {
             self.coalesced.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
             self.unknown_mitigation.load(Ordering::Relaxed),
-            self.wake_failures.load(Ordering::Relaxed),
         )
     }
 }
@@ -175,26 +151,21 @@ pub(crate) struct Inner {
     pub(crate) worker_count: usize,
     pub(crate) counters: Counters,
     stores: AtomicU64,
-    chaos: Option<Chaos>,
+    pub(crate) chaos: Option<Chaos>,
     start: Instant,
-    addr: SocketAddr,
     /// Set by `SHUTDOWN`: stop accepting, drain, exit [`Server::serve`].
     pub(crate) shutting_down: AtomicBool,
-    /// `RUN`/`RUNB` requests currently being resolved (queue depth on
+    /// `RUNB` requests currently being resolved (queue depth on
     /// top of the worker bound; what `SHUTDOWN` drains).
     active: AtomicUsize,
     /// Per-verb latency histograms (rendered in `STATS`/`HEALTH`).
     pub(crate) hist: VerbHistograms,
-    /// Concurrent-connection ceiling (both serve loops enforce it).
+    /// Concurrent-connection ceiling, enforced at accept.
     pub(crate) max_conns: usize,
     /// Currently open connections (a gauge, for `HEALTH`).
     pub(crate) connections: AtomicUsize,
     /// Connections refused at the [`Self::max_conns`] ceiling.
     pub(crate) rejected_conns: AtomicU64,
-    /// Force the thread-per-connection loop.
-    threaded: bool,
-    /// `SHUTDOWN` self-wake dial timeout (threaded loop).
-    wake_timeout: Duration,
 }
 
 impl Server {
@@ -202,7 +173,6 @@ impl Server {
     /// ephemeral test port).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         Ok(Server {
             listener,
             inner: Arc::new(Inner {
@@ -215,15 +185,12 @@ impl Server {
                 stores: AtomicU64::new(0),
                 chaos: config.chaos.map(Chaos::new),
                 start: Instant::now(),
-                addr,
                 shutting_down: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
                 hist: VerbHistograms::default(),
                 max_conns: config.max_conns.max(1),
                 connections: AtomicUsize::new(0),
                 rejected_conns: AtomicU64::new(0),
-                threaded: config.threaded,
-                wake_timeout: config.wake_timeout,
             }),
         })
     }
@@ -238,52 +205,19 @@ impl Server {
     /// returns `Ok` — so the daemon can exit cleanly instead of being
     /// killed mid-simulation.
     ///
-    /// On unix this runs the event-driven poll-readiness core
+    /// This runs the event-driven poll-readiness core
     /// ([`crate::reactor`]): one event-loop thread plus a fixed
     /// dispatch pool, so idle connections cost buffers, not OS
-    /// threads. Chaos injection, `QPRAC_SERVE_THREADED`, and non-unix
-    /// targets fall back to the legacy thread-per-connection loop
-    /// (the chaos fault wrappers are blocking-stream shaped).
+    /// threads. Without `poll(2)` (non-unix targets) it fails with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn serve(self) -> io::Result<()> {
         #[cfg(unix)]
-        if !self.inner.threaded && self.inner.chaos.is_none() {
-            return crate::reactor::serve_event_driven(self.listener, self.inner);
-        }
-        self.serve_threaded()
-    }
-
-    /// The legacy accept loop: one thread per connection.
-    fn serve_threaded(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.inner.shutting_down.load(Ordering::SeqCst) {
-                break; // the wake-up dial from the SHUTDOWN handler
-            }
-            let stream = stream?;
-            if self.inner.connections.load(Ordering::SeqCst) >= self.inner.max_conns {
-                self.inner.rejected_conns.fetch_add(1, Ordering::Relaxed);
-                continue; // at capacity: hang up without a byte
-            }
-            self.inner.connections.fetch_add(1, Ordering::SeqCst);
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || {
-                // Decrement on unwind too: the chaos leader-kill panics
-                // straight through the connection handler.
-                struct ConnGauge<'a>(&'a AtomicUsize);
-                impl Drop for ConnGauge<'_> {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let _gauge = ConnGauge(&inner.connections);
-                handle_connection(&inner, stream);
-            });
-        }
-        // Drain: every RUN in progress (including queued ones waiting
-        // on the worker semaphore) completes before we return.
-        while self.inner.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(())
+        return crate::reactor::serve_event_driven(self.listener, self.inner);
+        #[cfg(not(unix))]
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "qprac-serve needs poll(2), which only unix targets provide",
+        ))
     }
 
     /// Start serving on a detached background thread and return the
@@ -295,107 +229,6 @@ impl Server {
             let _ = self.serve();
         });
         Ok(addr)
-    }
-}
-
-fn handle_connection(inner: &Inner, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // With chaos armed, the connection may be dropped at accept and all
-    // traffic flows through the fault-injecting stream wrapper.
-    if let Some(chaos) = &inner.chaos {
-        if chaos.drop_connection() {
-            return; // the fault: hang up without a byte
-        }
-        serve_streams(
-            inner,
-            BufReader::new(ChaosStream::new(read_half, chaos)),
-            BufWriter::new(ChaosStream::new(stream, chaos)),
-        );
-    } else {
-        serve_streams(inner, BufReader::new(read_half), BufWriter::new(stream));
-    }
-}
-
-fn serve_streams(inner: &Inner, mut reader: impl BufRead, mut writer: impl Write) {
-    loop {
-        // I/O or framing failure (including EOF mid-line from a client
-        // that died) closes the connection; nothing to answer.
-        let Ok(line) = read_line(&mut reader) else {
-            return;
-        };
-        let Some(line) = line else { return }; // clean EOF
-        inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let parsed = parse_request(&line);
-        let verb_hist = match &parsed {
-            Ok(Request::Ping) => Some(&inner.hist.ping),
-            Ok(Request::Stats) => Some(&inner.hist.stats),
-            Ok(Request::Health) => Some(&inner.hist.health),
-            Ok(Request::Metrics) => Some(&inner.hist.metrics),
-            Ok(Request::Run(_)) => Some(&inner.hist.run),
-            Ok(Request::RunBin(_)) => Some(&inner.hist.runb),
-            _ => None,
-        };
-        let response = match parsed {
-            Ok(Request::Ping) => Response::Ok {
-                kind: "text".into(),
-                payload: "pong".into(),
-            },
-            Ok(Request::Stats) => Response::Ok {
-                kind: "text".into(),
-                payload: stats_payload(inner),
-            },
-            Ok(Request::Health) => Response::Ok {
-                kind: "text".into(),
-                payload: render_health(inner),
-            },
-            Ok(Request::Metrics) => Response::Ok {
-                kind: "text".into(),
-                payload: metrics_payload(inner),
-            },
-            Ok(Request::Shutdown) => {
-                inner.shutting_down.store(true, Ordering::SeqCst);
-                // Wake the accept loop so it observes the flag; the
-                // dial needs no payload, accept alone unblocks it. It
-                // respects the configured client timeout, and a failed
-                // dial is counted — the drain still completes on the
-                // next natural accept, but the stall is observable.
-                if TcpStream::connect_timeout(&inner.addr, inner.wake_timeout).is_err() {
-                    inner.counters.wake_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                Response::Ok {
-                    kind: "text".into(),
-                    payload: "draining".into(),
-                }
-            }
-            Ok(Request::Run(key_text)) => match resolve(inner, &key_text) {
-                Ok(result) => Response::Ok {
-                    kind: result.kind().into(),
-                    payload: result.payload(),
-                },
-                Err(reason) => Response::Err(reason),
-            },
-            // Same resolve path, binary cell frame on the wire: warm
-            // hits travel and decode without any text parsing.
-            Ok(Request::RunBin(key_text)) => match resolve(inner, &key_text) {
-                Ok(result) => Response::OkBin(sim::codec::encode_cell(&result)),
-                Err(reason) => Response::Err(reason),
-            },
-            // A malformed *line* is recoverable: answer ERR and keep
-            // reading — the stream is still newline-aligned.
-            Err(reason) => Response::Err(reason),
-        };
-        if matches!(response, Response::Err(_)) {
-            inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(hist) = verb_hist {
-            hist.record(t0.elapsed());
-        }
-        if write_response(&mut writer, &response).is_err() {
-            return; // peer went away (e.g. a truncated request)
-        }
     }
 }
 
@@ -453,12 +286,9 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
     for (name, value) in [
         ("qprac_requests_total", load(&c.requests)),
-        // Cell resolves only (RUN + RUNB): what a load test can account
-        // for exactly, scrape-to-scrape.
-        (
-            "qprac_run_requests_total",
-            inner.hist.run.count() + inner.hist.runb.count(),
-        ),
+        // Cell resolves only (RUNB): what a load test can account for
+        // exactly, scrape-to-scrape.
+        ("qprac_run_requests_total", inner.hist.runb.count()),
         ("qprac_mem_hits_total", load(&c.mem_hits)),
         ("qprac_disk_hits_total", load(&c.disk_hits)),
         ("qprac_simulated_total", load(&c.simulated)),
@@ -468,7 +298,6 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
             "qprac_unknown_mitigation_total",
             load(&c.unknown_mitigation),
         ),
-        ("qprac_wake_failures_total", load(&c.wake_failures)),
         ("qprac_store_errors_total", inner.disk.failed_stores()),
         ("qprac_rejected_conns_total", load(&inner.rejected_conns)),
     ] {
@@ -504,7 +333,7 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
 
 /// Panic-safe tally of resolves in progress ([`Inner::active`]): the
 /// chaos leader-kill unwinds straight through `resolve`, and a stuck
-/// counter would wedge the `SHUTDOWN` drain loop forever.
+/// counter would report phantom load in `HEALTH` forever.
 struct ActiveGuard<'a>(&'a AtomicUsize);
 
 impl<'a> ActiveGuard<'a> {
@@ -521,8 +350,7 @@ impl Drop for ActiveGuard<'_> {
 }
 
 /// The three-tier resolve: memory, disk, then single-flight simulate.
-/// Shared by both serve loops (thread-per-connection calls it on the
-/// connection thread, the reactor from its dispatch pool).
+/// Called from the reactor's dispatch pool.
 pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, String> {
     let _active = ActiveGuard::enter(&inner.active);
     let spec = RunKey::parse_text(key_text).map_err(|e| {
@@ -675,7 +503,6 @@ mod tests {
             "coalesced=0",
             "errors=0",
             "unknown_mitigation=0",
-            "wake_failures=0",
             "store_errors=2",
             "in_flight=1",
         ] {

@@ -1,12 +1,13 @@
 //! End-to-end service tests on an ephemeral port: single-flight
 //! coalescing under concurrent clients, the three cache tiers'
-//! hit counters, and graceful handling of malformed, truncated and
-//! non-executable requests.
+//! hit counters, graceful handling of malformed, truncated and
+//! non-executable requests, and each chaos fault on the serve loop.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use qprac_serve::protocol::{write_request, write_response, Request, Response};
 use qprac_serve::{ChaosSpec, Client, ClientError, Server, ServerConfig};
 use sim::{CellResult, MitigationKind, RunCache, RunKey, SystemConfig};
 
@@ -199,43 +200,10 @@ fn corrupt_binary_disk_entries_are_a_miss_never_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A single-connection stand-in for a server that predates `RUNB`: it
-/// answers `ERR unknown request ...` to anything but `RUN`/`PING`,
-/// exactly like the old `parse_request`, and serves `RUN` with a text
-/// `count` payload.
-fn spawn_pre_runb_server() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return;
-            }
-            let reply = if line.starts_with("RUN ") {
-                "OK count 2\n41".to_string()
-            } else if line.trim_end() == "PING" {
-                "OK text 4\npong".to_string()
-            } else {
-                let msg = format!("unknown request {:?}", line.trim_end());
-                format!("ERR {}\n{msg}", msg.len())
-            };
-            if writer.write_all(reply.as_bytes()).is_err() {
-                return;
-            }
-        }
-    });
-    addr
-}
-
-/// The satellite-d pin: a single-flight leader killed mid-simulation
-/// (chaos `kill=1`) must not strand its followers. The leader's
-/// connection dies (EOF — a retryable transport error), followers
-/// observe the poison `ERR ... panicked` (retryable by
+/// A single-flight leader killed mid-simulation (chaos `kill=1`) must
+/// not strand its followers. The leader gets `ERR ... panicked` from
+/// the dispatch worker that caught the unwind, followers observe the
+/// poison `ERR ... panicked` (both retryable by
 /// [`ClientError::is_retryable`]), and every client that re-drives the
 /// key gets the real result — simulated exactly once more.
 #[test]
@@ -361,19 +329,106 @@ fn hung_server_times_out_instead_of_stalling() {
     );
 }
 
-#[test]
-fn client_falls_back_to_text_on_pre_runb_servers() {
-    let addr = spawn_pre_runb_server();
+fn spawn_chaotic(spec: &str) -> SocketAddr {
+    spawn_server(ServerConfig {
+        chaos: Some(ChaosSpec::parse(spec).unwrap()),
+        ..ServerConfig::default()
+    })
+}
+
+/// Send one `RUNB` on a fresh raw connection; return every byte the
+/// server sends before it hangs up. A `Client` on the same server must
+/// see a retryable transport error, never a wrong result.
+fn runb_until_eof(addr: SocketAddr, key: &RunKey) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write_request(&mut stream, &Request::RunBin(key.as_str().into())).unwrap();
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("a clean EOF");
+    let err = Client::connect(addr).unwrap().run(key).unwrap_err();
+    assert!(
+        matches!(err, ClientError::Io(_)) && err.is_retryable(),
+        "{err}"
+    );
+    got
+}
+
+/// Control verbs are never faulted: under any chaos spec, `PING`,
+/// `STATS` and `HEALTH` answer every time. Returns the last `HEALTH`.
+fn control_verbs_answer(addr: SocketAddr) -> String {
     let mut client = Client::connect(addr).unwrap();
-    // First run probes RUNB, gets the unknown-request ERR, retries as
-    // RUN on the same connection — and remembers.
-    let key = RunKey::engine("legacy");
-    assert_eq!(
-        client.run(&key).expect("fallback run"),
-        CellResult::Count(41)
+    for _ in 0..4 {
+        client.ping().expect("PING is never faulted");
+        client.stats().expect("STATS is never faulted");
+    }
+    client.health().expect("HEALTH is never faulted")
+}
+
+#[test]
+fn chaos_trunc_sends_a_strict_prefix_of_the_runb_reply() {
+    let key = small_key(620);
+    let cell = RunKey::parse_text(key.as_str()).unwrap().execute().unwrap();
+    let mut frame = Vec::new();
+    write_response(&mut frame, &Response::OkBin(sim::codec::encode_cell(&cell))).unwrap();
+    let addr = spawn_chaotic("3:trunc=1");
+    let got = runb_until_eof(addr, &key);
+    assert!(
+        !got.is_empty() && got.len() < frame.len() && frame.starts_with(&got),
+        "{} of {} bytes is not a strict, non-empty prefix of the frame",
+        got.len(),
+        frame.len()
     );
-    assert_eq!(
-        client.run(&key).expect("remembered text verb"),
-        CellResult::Count(41)
+    let health = control_verbs_answer(addr);
+    assert!(health.contains("chaos_truncated=2"), "{health}");
+}
+
+#[test]
+fn chaos_drop_closes_the_connection_instead_of_serving_a_runb() {
+    let addr = spawn_chaotic("9:drop=1");
+    assert!(
+        runb_until_eof(addr, &small_key(100)).is_empty(),
+        "no byte before EOF"
     );
+    let health = control_verbs_answer(addr);
+    assert!(health.contains("chaos_dropped=2"), "{health}");
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stat("simulated").unwrap(), 0, "nothing dispatched");
+}
+
+/// `delay` holds the `RUNB` in the event loop's deadline list: the
+/// answer arrives intact after the hold, and meanwhile the loop keeps
+/// serving other connections — it never sleeps.
+#[test]
+fn chaos_delay_defers_a_runb_without_stalling_the_loop() {
+    const HOLD: Duration = Duration::from_millis(200);
+    let key = small_key(640);
+    let addr = spawn_chaotic("5:delay=1/200");
+    let mut held = Client::connect(addr).unwrap();
+    let t0 = Instant::now();
+    let answer = std::thread::scope(|s| {
+        let answer = s.spawn(|| (held.run(&key), t0.elapsed()));
+        // Over a second connection, wait until the RUNB is deferred,
+        // then PING: both must answer inside the hold.
+        let mut probe = Client::connect(addr).unwrap();
+        while !probe.health().unwrap().contains("chaos_delayed=1") {
+            assert!(t0.elapsed() < HOLD, "the RUNB was never deferred");
+        }
+        probe.ping().expect("PING while a RUNB is held");
+        let pinged_at = t0.elapsed();
+        assert!(
+            pinged_at < HOLD,
+            "PING waited {pinged_at:?}: the loop stalled"
+        );
+        answer.join().unwrap()
+    });
+    let (result, answered_at) = answer;
+    assert!(answered_at >= HOLD, "answered after {answered_at:?}");
+    let expected = RunKey::parse_text(key.as_str()).unwrap().execute();
+    assert_eq!(
+        result.expect("a held RUNB still answers"),
+        expected.unwrap()
+    );
+    control_verbs_answer(addr);
 }
