@@ -58,8 +58,9 @@ pub fn run(queue_size: usize, tbit: u32) -> BlockedTbitOutcome {
             if row.0 >= engine.cfg().rows {
                 break; // arena exhausted (very low thresholds)
             }
-            for _ in 0..threshold {
-                engine.activate(row);
+            let mut left = threshold;
+            while left > 0 {
+                left -= engine.activate_run(row, left);
                 if engine.budget_exhausted() || engine.alert_pending() {
                     break;
                 }
@@ -71,19 +72,6 @@ pub fn run(queue_size: usize, tbit: u32) -> BlockedTbitOutcome {
         target_unmitigated: engine.count(target),
         alerts: engine.stats().alerts,
     }
-}
-
-/// Sweep Fig 23's axes: thresholds × queue sizes. Returns
-/// `(queue_size, threshold, target_unmitigated)` rows.
-pub fn figure23_sweep(queue_sizes: &[usize], tbits: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &t in tbits {
-            let o = run(q, t);
-            out.push((q, 1u32 << t, o.target_unmitigated));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -20,6 +20,22 @@
 //! [`EngineStats::max_count_ever`] — the maximum unmitigated activation
 //! count any row reached, the universal insecurity metric of Figs 2/3
 //! and the wave-attack validation of §IV-B.
+//!
+//! Attacks that march a row toward its next threshold use
+//! [`ActEngine::activate_run`] instead. It applies, in one step, a run of
+//! activations that the tracker reports it would ignore
+//! ([`InDramMitigation::quiet_acts`]), with results bit-identical to
+//! calling `activate` once per activation. A run never crosses an event,
+//! so it ends at the first of four boundaries:
+//!
+//! 1. a pending alert — no run starts while Alert_n is asserted;
+//! 2. the next REF — a run stops at the activation before the REF is due;
+//! 3. the activation that asserts an alert (the tracker already wants
+//!    one and `ABO_Delay` is about to allow it);
+//! 4. the activation that exhausts the tREFW budget.
+//!
+//! When no run of two or more activations is possible it issues one
+//! plain `activate`.
 
 use dram_core::counters::{CounterAccess, PracCounters};
 use dram_core::mitigation::{InDramMitigation, RfmContext};
@@ -207,14 +223,67 @@ impl ActEngine {
             self.refresh();
         }
         let count = self.counters.increment(row);
-        self.stats.max_count_ever = self.stats.max_count_ever.max(count);
         self.tracker.on_activate(row, count);
-        self.stats.acts += 1;
         self.stats.elapsed_ns += self.cfg.trc_ns;
-        self.acts_since_ref += 1;
-        self.acts_since_service = self.acts_since_service.saturating_add(1);
+        self.account(count, 1);
+    }
+
+    /// Issue up to `n` activations to `row` and return how many were
+    /// issued: a run of `k ≤ n` activations the tracker ignores, applied
+    /// in one step (see the module docs for where a run must end), or
+    /// else one plain [`ActEngine::activate`]. Returns 0 only when `n`
+    /// is 0. Callers loop until their own exit condition holds, checking
+    /// it after every call as they would after every `activate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn activate_run(&mut self, row: RowId, n: u32) -> u32 {
+        assert!(row.0 < self.cfg.rows, "row out of range");
+        if n == 0 {
+            return 0;
+        }
+        let mut k = if self.alert {
+            0
+        } else {
+            let count = self.counters.count(row);
+            n.min(self.tracker.quiet_acts(row, count))
+                .min(self.acts_until_ref())
+        };
+        if self.tracker.needs_alert() {
+            // Quiet activations keep `needs_alert`, so the alert asserts
+            // at the activation that satisfies ABO_Delay.
+            let gate = (self.cfg.abo_delay as u64).saturating_sub(self.acts_since_service);
+            k = k.min(gate.clamp(1, u32::MAX as u64) as u32);
+        }
+        if k <= 1 {
+            self.activate(row);
+            return 1;
+        }
+        // One addition per activation keeps `elapsed_ns` bit-identical to
+        // `activate`; stop at the activation that exhausts the budget.
+        let mut issued = 0;
+        while issued < k {
+            self.stats.elapsed_ns += self.cfg.trc_ns;
+            issued += 1;
+            if self.budget_exhausted() {
+                break;
+            }
+        }
+        let count = self.counters.add(row, issued);
+        self.account(count, issued);
+        issued
+    }
+
+    /// Bookkeeping after `k` activations whose last count was `count`:
+    /// cadence counters, the ABO window and the ABO_Delay-gated alert.
+    fn account(&mut self, count: u32, k: u32) {
+        self.stats.max_count_ever = self.stats.max_count_ever.max(count);
+        self.stats.acts += k as u64;
+        self.acts_since_ref += k;
+        self.acts_since_service = self.acts_since_service.saturating_add(k as u64);
         if self.alert {
-            self.abo_used += 1;
+            self.abo_used += k;
         } else if self.tracker.needs_alert() && self.acts_since_service >= self.cfg.abo_delay as u64
         {
             self.alert = true;

@@ -60,14 +60,16 @@ pub fn run(queue_size: usize, threshold: u32) -> FillEscapeOutcome {
 
     // Phase 1: bring the target to threshold - 1 (it must not enter the
     // queue before the hammering starts).
-    for _ in 0..threshold - 1 {
-        engine.activate(target);
+    let mut left = threshold - 1;
+    while left > 0 {
+        left -= engine.activate_run(target, left);
     }
     // Phase 2: fill the FIFO with Q sacrificial rows at the threshold.
     for _ in 0..queue_size {
         let row = fresh(&engine);
-        for _ in 0..threshold {
-            engine.activate(row);
+        let mut left = threshold;
+        while left > 0 {
+            left -= engine.activate_run(row, left);
             if engine.budget_exhausted() {
                 return FillEscapeOutcome {
                     target_unmitigated: engine.count(target),
@@ -89,8 +91,9 @@ pub fn run(queue_size: usize, threshold: u32) -> FillEscapeOutcome {
         } else {
             // Refill: one fresh row to the threshold inserts one entry.
             let row = fresh(&engine);
-            for _ in 0..threshold {
-                engine.activate(row);
+            let mut left = threshold;
+            while left > 0 {
+                left -= engine.activate_run(row, left);
                 if engine.budget_exhausted() || engine.alert_pending() {
                     break;
                 }
@@ -102,19 +105,6 @@ pub fn run(queue_size: usize, threshold: u32) -> FillEscapeOutcome {
         target_unmitigated: engine.count(target),
         iterations,
     }
-}
-
-/// Sweep Fig 3's axes: thresholds × queue sizes. Returns
-/// `(queue_size, threshold, target_unmitigated)` rows.
-pub fn figure3_sweep(queue_sizes: &[usize], thresholds: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &m in thresholds {
-            let o = run(q, m);
-            out.push((q, m, o.target_unmitigated));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -41,25 +41,19 @@ pub fn run(queue_size: usize, tbit: u32) -> ToggleForgetOutcome {
 
     let mut iterations = 0u64;
     'outer: loop {
-        // Phase 1: march every filler to one activation before its next
-        // toggle point (counters may have been reset by mitigations).
-        for &row in &fillers {
+        // Phase 1: march every filler, then the target, to one
+        // activation before its next toggle point (counters may have
+        // been reset by mitigations).
+        for &row in fillers.iter().chain([&target]) {
             loop {
-                let c = engine.count(row);
-                if c % threshold == threshold - 1 {
+                let left = threshold - 1 - engine.count(row) % threshold;
+                if left == 0 {
                     break;
                 }
-                engine.activate(row);
+                engine.activate_run(row, left);
                 if engine.budget_exhausted() {
                     break 'outer;
                 }
-            }
-        }
-        // March the target to just before its toggle as well.
-        while engine.count(target) % threshold != threshold - 1 {
-            engine.activate(target);
-            if engine.budget_exhausted() {
-                break 'outer;
             }
         }
         // Phase 2: toggle all fillers back-to-back to fill the FIFO and
@@ -67,7 +61,7 @@ pub fn run(queue_size: usize, tbit: u32) -> ToggleForgetOutcome {
         // drain cannot race the burst.
         let junk = RowId(cfg.rows - 2);
         while engine.acts_until_ref() <= queue_size as u32 + 2 {
-            engine.activate(junk);
+            engine.activate_run(junk, engine.acts_until_ref().max(1));
             if engine.budget_exhausted() {
                 break 'outer;
             }
@@ -96,19 +90,6 @@ pub fn run(queue_size: usize, tbit: u32) -> ToggleForgetOutcome {
         iterations,
         alerts: engine.stats().alerts,
     }
-}
-
-/// Sweep Fig 2's axes: queue sizes × t-bit values. Returns
-/// `(queue_size, tbit, target_unmitigated)` rows.
-pub fn figure2_sweep(queue_sizes: &[usize], tbits: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &t in tbits {
-            let o = run(q, t);
-            out.push((q, t, o.target_unmitigated));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Throughput of the activation-level security engine — what bounds the
-//! wall-clock of the attack experiments (Figs 2, 3, 23, wave sweeps).
+//! wall-clock of the attack experiments (Figs 2, 3, 23, wave sweeps):
+//! per-activation streams, and one whole batched Toggle+Forget cell.
 
 use attack_engine::engine::{ActEngine, EngineConfig};
+use attack_engine::toggle_forget;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_core::RowId;
 use mitigations::Panopticon;
@@ -48,6 +50,11 @@ fn bench_engine(c: &mut Criterion) {
             }
             black_box(e.stats().mitigations)
         });
+    });
+    g.bench_function("panopticon_toggle_forget_cell", |b| {
+        // One Fig 2 cell: a full tREFW of Toggle+Forget, mostly quiet
+        // marching runs applied through `ActEngine::activate_run`.
+        b.iter(|| black_box(toggle_forget::run(8, 8).target_unmitigated));
     });
     g.finish();
 }

@@ -4,7 +4,10 @@
 //! shrunken environment. Covers one analytical figure (fig07), one
 //! table (table04) and one simulation-driven sensitivity sweep (fig18,
 //! which exercises the work pool, the baseline dedupe and the
-//! `RunKey` normalization of unmitigated cells).
+//! `RunKey` normalization of unmitigated cells). The activation-level
+//! attack figures (fig02 Toggle+Forget, fig03 Fill+Escape, fig23
+//! blocked t-bit) are pinned to snapshots taken before the engine
+//! learned to batch quiet activations (`ActEngine::activate_run`).
 //!
 //! The binaries run as subprocesses with a pinned environment
 //! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
@@ -75,6 +78,33 @@ fn fig18_matches_pre_refactor_snapshot() {
         env!("CARGO_BIN_EXE_fig18"),
         "fig18",
         &[("fig18", include_str!("golden/fig18.csv"))],
+    );
+}
+
+#[test]
+fn fig02_matches_per_activation_snapshot() {
+    run_and_compare(
+        env!("CARGO_BIN_EXE_fig02"),
+        "fig02",
+        &[("fig02", include_str!("golden/fig02.csv"))],
+    );
+}
+
+#[test]
+fn fig03_matches_per_activation_snapshot() {
+    run_and_compare(
+        env!("CARGO_BIN_EXE_fig03"),
+        "fig03",
+        &[("fig03", include_str!("golden/fig03.csv"))],
+    );
+}
+
+#[test]
+fn fig23_matches_per_activation_snapshot() {
+    run_and_compare(
+        env!("CARGO_BIN_EXE_fig23"),
+        "fig23",
+        &[("fig23", include_str!("golden/fig23.csv"))],
     );
 }
 

@@ -62,15 +62,26 @@ impl PracCounters {
     /// Increment `row`'s counter (one activation or one victim refresh)
     /// and return the post-increment value.
     pub fn increment(&mut self, row: RowId) -> u32 {
+        self.add(row, 1)
+    }
+
+    /// Apply `k` increments to `row` at once and return the final value:
+    /// identical to `k` calls of [`PracCounters::increment`], including
+    /// saturation, the ordered index and the lifetime total. `k = 0` is a
+    /// no-op that returns the current count.
+    pub fn add(&mut self, row: RowId, k: u32) -> u32 {
+        if k == 0 {
+            return self.count(row);
+        }
         let idx = row.0 as usize;
         assert!(idx < self.rows as usize, "row out of range");
         let page = self.pages[idx / PAGE_ROWS]
             .get_or_insert_with(|| vec![0; PAGE_ROWS].into_boxed_slice());
         let slot = &mut page[idx % PAGE_ROWS];
         let old = *slot;
-        let new = old.saturating_add(1);
+        let new = old.saturating_add(k);
         *slot = new;
-        self.total_acts += 1;
+        self.total_acts += k as u64;
         if let Some(ordered) = &mut self.ordered {
             if old > 0 {
                 ordered.remove(&(old, row.0));
@@ -228,6 +239,23 @@ mod tests {
     }
 
     #[test]
+    fn add_saturates_like_increment() {
+        let mut bulk = PracCounters::new(4, true);
+        let mut single = PracCounters::new(4, true);
+        bulk.add(RowId(2), u32::MAX - 3);
+        single.add(RowId(2), u32::MAX - 3);
+        assert_eq!(bulk.add(RowId(2), 10), u32::MAX);
+        for _ in 0..10 {
+            single.increment(RowId(2));
+        }
+        assert_eq!(single.count(RowId(2)), u32::MAX);
+        assert_eq!(bulk.top_n(4), single.top_n(4));
+        assert_eq!(bulk.total_activations(), single.total_activations());
+        assert_eq!(bulk.add(RowId(1), 0), 0, "k = 0 is a no-op");
+        assert_eq!(bulk.top_n(4), single.top_n(4));
+    }
+
+    #[test]
     fn max_count_tracks_maximum() {
         let mut c = PracCounters::new(8, true);
         assert_eq!(c.max_count(), 0);
@@ -281,6 +309,35 @@ mod proptests {
             prop_assert_eq!(indexed.max_count(), plain.max_count());
             for r in 0..32 {
                 prop_assert_eq!(indexed.count(RowId(r)), plain.count(RowId(r)));
+            }
+        }
+
+        /// `add(row, k)` must be indistinguishable from `k` calls of
+        /// `increment`, ordered index included.
+        #[test]
+        fn add_equals_repeated_increment(
+            ops in proptest::collection::vec((0u32..16, 0u32..40, 0u32..8), 1..200)
+        ) {
+            let mut bulk = PracCounters::new(16, true);
+            let mut single = PracCounters::new(16, true);
+            for (r, k, reset_roll) in ops {
+                let row = RowId(r);
+                if reset_roll == 0 {
+                    bulk.reset(row);
+                    single.reset(row);
+                    continue;
+                }
+                let mut expect = single.count(row);
+                for _ in 0..k {
+                    expect = single.increment(row);
+                }
+                prop_assert_eq!(bulk.add(row, k), expect);
+                prop_assert_eq!(bulk.total_activations(), single.total_activations());
+            }
+            prop_assert_eq!(bulk.top_n(16), single.top_n(16));
+            prop_assert_eq!(bulk.max_count(), single.max_count());
+            for r in 0..16 {
+                prop_assert_eq!(bulk.count(RowId(r)), single.count(RowId(r)));
             }
         }
     }

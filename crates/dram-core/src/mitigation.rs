@@ -18,6 +18,11 @@
 //! 5. It observes victim refreshes so transitive (Half-Double style)
 //!    aggressors can re-enter the tracker
 //!    ([`InDramMitigation::on_victim_refresh`]).
+//! 6. It may report how many further activations of a row it would
+//!    ignore ([`InDramMitigation::quiet_acts`]), so an activation-level
+//!    host can apply that run in one step. The answer must be
+//!    conservative: every activation it covers must leave the tracker's
+//!    state and `needs_alert` unchanged. Answering `0` is always correct.
 //!
 //! The host performs the actual mitigation: refreshing the blast-radius
 //! victims (incrementing their PRAC counters) and resetting the
@@ -49,6 +54,17 @@ pub trait InDramMitigation: std::fmt::Debug + Send {
     /// Observe an activation of `row`; `count` is the post-increment PRAC
     /// counter value.
     fn on_activate(&mut self, row: RowId, count: u32);
+
+    /// How many further activations of `row`, whose PRAC count is now
+    /// `count`, [`InDramMitigation::on_activate`] would ignore: each of
+    /// them leaves the tracker's state and
+    /// [`InDramMitigation::needs_alert`] unchanged. A host may skip the
+    /// `on_activate` calls for that many activations, provided no other
+    /// callback intervenes. Default: `0` (no activation may be skipped).
+    fn quiet_acts(&self, row: RowId, count: u32) -> u32 {
+        let _ = (row, count);
+        0
+    }
 
     /// Observe a mitigative refresh of a victim `row`; `count` is the
     /// post-increment PRAC counter value. Default: ignore (trackers

@@ -119,6 +119,34 @@ impl InDramMitigation for Panopticon {
         }
     }
 
+    /// Activations before the next one that could touch the queue. The
+    /// t-bit variants only act at multiples of the threshold (the blocked
+    /// variant may ignore more while Alert_n is asserted; this answer
+    /// does not count on that). The full-counter variant ignores every
+    /// activation while the row is queued, and every one below the
+    /// threshold.
+    fn quiet_acts(&self, row: RowId, count: u32) -> u32 {
+        match self.variant {
+            // A saturated counter repeats its value; if that value is a
+            // multiple of the threshold, every activation is a toggle.
+            PanopticonVariant::TbitToggle | PanopticonVariant::BlockedToggle
+                if count == u32::MAX =>
+            {
+                0
+            }
+            PanopticonVariant::TbitToggle | PanopticonVariant::BlockedToggle => {
+                self.threshold - 1 - count % self.threshold
+            }
+            PanopticonVariant::FullCounter => {
+                if self.queued(row) {
+                    u32::MAX
+                } else {
+                    (self.threshold - 1).saturating_sub(count)
+                }
+            }
+        }
+    }
+
     fn needs_alert(&self) -> bool {
         self.queue.len() >= self.capacity
     }
