@@ -14,11 +14,10 @@ pub struct CsvWriter {
 }
 
 impl CsvWriter {
-    /// Create `results/<name>.csv` relative to the workspace root (or to
-    /// `QPRAC_RESULTS_DIR` when set), writing the given header row.
+    /// Create `<name>.csv` in [`results_dir`], writing the given header
+    /// row.
     pub fn create(name: &str, header: &[&str]) -> io::Result<Self> {
-        let dir = std::env::var("QPRAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-        Self::create_in(Path::new(&dir), name, header)
+        Self::create_in(&results_dir(), name, header)
     }
 
     /// Create `<dir>/<name>.csv`, writing the given header row. The
@@ -44,6 +43,24 @@ impl CsvWriter {
     }
 }
 
+/// The directory every figure CSV and `metrics_cluster.txt` is written
+/// to: `QPRAC_RESULTS_DIR`, or `results` (relative to the working
+/// directory) when it is unset, empty or `0` — the convention of every
+/// other `QPRAC_*` knob ([`sim::env_opt`]).
+pub fn results_dir() -> PathBuf {
+    results_dir_value(std::env::var("QPRAC_RESULTS_DIR").ok())
+}
+
+/// The value half of [`results_dir`], unit-testable without mutating
+/// process environment.
+fn results_dir_value(value: Option<String>) -> PathBuf {
+    PathBuf::from(
+        value
+            .and_then(sim::config::opt_value)
+            .unwrap_or_else(|| "results".into()),
+    )
+}
+
 /// Format a float with fixed precision for CSV/console output.
 pub fn f(v: f64) -> String {
     format!("{v:.4}")
@@ -66,6 +83,23 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("unit.csv")).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_or_zero_results_dir_means_the_default() {
+        assert_eq!(results_dir_value(None), PathBuf::from("results"));
+        assert_eq!(
+            results_dir_value(Some(String::new())),
+            PathBuf::from("results")
+        );
+        assert_eq!(
+            results_dir_value(Some("0".into())),
+            PathBuf::from("results")
+        );
+        assert_eq!(
+            results_dir_value(Some("out/r".into())),
+            PathBuf::from("out/r")
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   coordination. Per shard, the full fault stack applies — deadlines,
 //!   jittered retry, a circuit breaker — and a shard whose ladder is
 //!   exhausted is marked down in a shared table: only *its* keys
-//!   degrade to the local pool until a `HEALTH` probe readmits it.
+//!   degrade to the local pool until a `PING` probe readmits it.
 //!   `Engine` cells wrap local closures and always run locally.
 //!
 //! Identical cells shared by several figures — e.g. the unmitigated
@@ -112,9 +112,9 @@ pub struct FaultStats {
     /// failed and re-opened).
     pub breaker_opens: AtomicU64,
     /// Shards marked down after an exhausted ladder (their keys degrade
-    /// to the local pool until a `HEALTH` probe readmits them).
+    /// to the local pool until a `PING` probe readmits them).
     pub shard_downs: AtomicU64,
-    /// Down shards readmitted by a successful `HEALTH` probe.
+    /// Down shards readmitted by a successful `PING` probe.
     pub shard_recoveries: AtomicU64,
     /// Cells that exhausted every remote avenue and ran on the local
     /// pool instead.
@@ -197,7 +197,7 @@ std::thread_local! {
 /// - a cell that exhausts its shard's ladder marks that shard **down**
 ///   in a table shared across the executor: further keys owned by the
 ///   shard degrade straight to the local pool (no timeout burn) until
-///   a post-cooldown `HEALTH` probe readmits it. Other shards' keys
+///   a post-cooldown `PING` probe readmits it. Other shards' keys
 ///   are untouched — a one-shard outage degrades 1/N of the keyspace,
 ///   not the cluster.
 /// - authoritative server errors (the daemon *answered*: unknown
@@ -317,7 +317,7 @@ impl RemoteExecutor {
     }
 
     /// Gatekeeper on the shard-down table: fail fast while a shard is
-    /// inside its down cooldown; once it expires, one cheap `HEALTH`
+    /// inside its down cooldown; once it expires, one cheap `PING`
     /// probe decides between readmission and re-arming the cooldown.
     fn check_shard_up(&self, idx: usize, addr: &str) -> Result<(), String> {
         let until = self.down.lock().unwrap().get(&idx).copied();
@@ -327,7 +327,7 @@ impl RemoteExecutor {
         }
         let probed = qprac_serve::Client::connect_timeout(addr, self.timeout)
             .map_err(|e| e.to_string())
-            .and_then(|mut c| c.health().map_err(|e| e.to_string()));
+            .and_then(|mut c| c.ping().map_err(|e| e.to_string()));
         match probed {
             Ok(_) => {
                 if self.down.lock().unwrap().remove(&idx).is_some() {
@@ -366,7 +366,7 @@ impl RemoteExecutor {
                 .counter("qprac_bench_shard_downs_total")
                 .inc();
             qprac_obs::warn!(
-                "warning: shard {} marked down ({why}); its keys run locally until a HEALTH probe succeeds",
+                "warning: shard {} marked down ({why}); its keys run locally until a PING probe succeeds",
                 self.shards[idx]
             );
         }
@@ -500,12 +500,11 @@ pub fn scrape_cluster(shards: &[String]) -> Result<qprac_obs::Snapshot, String> 
 }
 
 /// Write a merged cluster snapshot to `metrics_cluster.txt` in the
-/// results directory (honoring `QPRAC_RESULTS_DIR`), returning the
+/// results directory ([`crate::csv::results_dir`]), returning the
 /// path written. The file is the same Prometheus text a single-shard
 /// `METRICS` scrape yields, with every shard's counts summed.
 pub fn write_cluster_metrics(snap: &qprac_obs::Snapshot) -> io::Result<std::path::PathBuf> {
-    let dir = std::env::var("QPRAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = std::path::PathBuf::from(dir);
+    let dir = crate::csv::results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("metrics_cluster.txt");
     std::fs::write(&path, snap.render_prometheus())?;
@@ -839,11 +838,15 @@ mod tests {
         assert_eq!(stats.shard_downs.load(Ordering::Relaxed), 1);
         // The live shard actually served its key (not the local pool).
         let mut probe = qprac_serve::Client::connect(live).unwrap();
-        assert_eq!(probe.stat("simulated").unwrap(), 1, "live shard served");
+        assert_eq!(
+            probe.stat("qprac_simulated_total").unwrap(),
+            1,
+            "live shard served"
+        );
     }
 
     /// Down-table semantics: inside the cooldown its keys fail fast
-    /// (no timeout burn); after the cooldown a successful `HEALTH`
+    /// (no timeout burn); after the cooldown a successful `PING`
     /// probe readmits the shard and traffic goes remote again.
     #[test]
     fn down_shard_fails_fast_then_recovers_via_health_probe() {
@@ -868,7 +871,7 @@ mod tests {
             t0.elapsed()
         );
         let _ = job; // the fallback path is covered elsewhere
-                     // After the cooldown: the HEALTH probe readmits the shard.
+                     // After the cooldown: the PING probe readmits the shard.
         std::thread::sleep(Duration::from_millis(200));
         let out = exec.run_remote(&key).expect("readmitted shard serves");
         assert!(matches!(out, JobResult::Stats(_)));

@@ -121,7 +121,7 @@ fn remote_execution_is_byte_identical_to_local() {
     // The server simulated the 7 remotable cells; the engine cell never
     // crossed the wire.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 7);
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 7);
 
     // A second remote pass is answered entirely from the server's
     // caches: CSVs identical, simulated counter unchanged.
@@ -135,11 +135,11 @@ fn remote_execution_is_byte_identical_to_local() {
     .unwrap();
     assert_eq!(read_csv(&warm_dir), local_csv);
     assert_eq!(
-        client.stat("simulated").unwrap(),
+        client.stat("qprac_simulated_total").unwrap(),
         7,
         "warm pass re-simulated"
     );
-    assert!(client.stat("mem_hits").unwrap() >= 7);
+    assert!(client.stat("qprac_mem_hits_total").unwrap() >= 7);
 
     for d in [local_dir, remote_dir, warm_dir] {
         let _ = std::fs::remove_dir_all(d);
@@ -212,8 +212,8 @@ fn compare_mitigations_is_byte_identical_local_vs_remote() {
     // Every simulated cell crossed the wire: the server answered all
     // registered designs, zoo additions included.
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.stat("simulated").unwrap() > 0);
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 0);
+    assert!(client.stat("qprac_simulated_total").unwrap() > 0);
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 0);
 
     for d in [local_dir, remote_dir] {
         let _ = std::fs::remove_dir_all(d);

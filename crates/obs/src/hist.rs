@@ -10,10 +10,8 @@
 //! over-reports by at most 2x (one bucket width): the right bias for a
 //! regression signal, where under-reporting would hide a slowdown.
 //!
-//! All derived output — the `name=value` lines served by `STATS`/`HEALTH`
-//! and the Prometheus exposition served by `METRICS` — is computed from
-//! one [`HistSnapshot`], so the two renderings can never disagree about
-//! the underlying counts.
+//! Quantiles, means, merges and the Prometheus exposition served by
+//! `METRICS` are all computed from one [`HistSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,18 +110,10 @@ impl Histogram {
     pub fn quantile_us(&self, q: f64) -> u64 {
         self.snapshot().quantile_us(q)
     }
-
-    /// The `name=value` lines for `STATS`/`HEALTH`: count plus
-    /// p50/p95/p99/p999 upper bounds and the mean, prefixed
-    /// `lat_<verb>_`. Empty verbs render nothing — quiet server, quiet
-    /// stats.
-    pub fn render(&self, verb: &str, out: &mut String) {
-        self.snapshot().render_stats(verb, out);
-    }
 }
 
 /// A point-in-time copy of a [`Histogram`]: plain integers, mergeable,
-/// and the single source for both text renderings.
+/// and the source of its text rendering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts (same layout as [`bucket_index`]).
@@ -177,22 +167,6 @@ impl HistSnapshot {
             *mine += theirs;
         }
         self.sum_us += other.sum_us;
-    }
-
-    /// The `name=value` line rendering used by `STATS`/`HEALTH`.
-    pub fn render_stats(&self, verb: &str, out: &mut String) {
-        let count = self.count();
-        if count == 0 {
-            return;
-        }
-        out.push_str(&format!(
-            "\nlat_{verb}_count={count}\nlat_{verb}_p50_us={}\nlat_{verb}_p95_us={}\nlat_{verb}_p99_us={}\nlat_{verb}_p999_us={}\nlat_{verb}_mean_us={}",
-            self.quantile_us(0.50),
-            self.quantile_us(0.95),
-            self.quantile_us(0.99),
-            self.quantile_us(0.999),
-            self.mean_us(),
-        ));
     }
 
     /// The Prometheus text-exposition rendering used by `METRICS`:
@@ -317,17 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_prometheus_share_one_snapshot() {
+    fn prometheus_rendering_is_cumulative_with_sum_and_count() {
         let h = Histogram::default();
         h.record_us(100);
         h.record_us(200);
         let snap = h.snapshot();
-        let mut stats = String::new();
-        snap.render_stats("run", &mut stats);
-        assert!(stats.contains("lat_run_count=2"), "{stats}");
-        assert!(stats.contains("lat_run_p50_us=127"), "{stats}");
-        assert!(stats.contains("lat_run_p999_us=255"), "{stats}");
-        assert!(stats.contains("lat_run_mean_us=150"), "{stats}");
         let mut prom = String::new();
         snap.render_prometheus("lat_run_us", &mut prom);
         assert!(prom.contains("# TYPE lat_run_us histogram"), "{prom}");

@@ -2,11 +2,9 @@
 //!
 //! Four instruments, one crate, std-only:
 //!
-//! - [`hist`] — fixed log2-bucket latency histograms (absorbed from
-//!   `qprac-serve`, which now re-exports them), extended with `merge`,
-//!   `mean_us`, p999 and a snapshot type that is the *single* write path
-//!   behind both the `name=value` STATS rendering and the Prometheus
-//!   text exposition, so the two can never drift.
+//! - [`hist`] — fixed log2-bucket latency histograms with `merge`,
+//!   `mean_us`, p999 and a plain-integer snapshot type that renders the
+//!   Prometheus text exposition.
 //! - [`metrics`] — a lock-free registry of named counters, gauges and
 //!   histograms with cross-shard [`Snapshot`] merging and a Prometheus
 //!   renderer/parser pair (`METRICS` verb + `scrape_cluster`).

@@ -10,8 +10,10 @@
 //! integration suite replays the same flaky cluster on every run.
 //!
 //! `<spec>` is a comma-separated fault list. Faults hit the cell verb
-//! `RUNB` only; control verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/
-//! `SHUTDOWN`) are never faulted, so a chaotic server stays observable.
+//! `RUNB` only; control verbs (`PING`/`METRICS`/`SHUTDOWN`) are never
+//! faulted, so a chaotic server stays observable. Fired faults are
+//! counted and exported by `METRICS` as
+//! `qprac_chaos_{dropped,delayed,truncated,killed}_total`.
 //!
 //! | token        | fault                                                      |
 //! |--------------|------------------------------------------------------------|
@@ -115,8 +117,8 @@ impl ChaosSpec {
 }
 
 /// The armed injector: one shared PRNG stream plus fired-fault counters
-/// (reported by the server's `STATS`/`HEALTH` output so a chaos CI run
-/// can prove faults actually fired).
+/// (exported by the server's `METRICS` output so a chaos CI run can
+/// prove faults actually fired).
 #[derive(Debug)]
 pub struct Chaos {
     spec: ChaosSpec,
@@ -195,17 +197,6 @@ impl Chaos {
             panic!("chaos: single-flight leader killed mid-simulation");
         }
     }
-
-    /// `name=value` counter block of fired faults.
-    pub fn render(&self) -> String {
-        format!(
-            "chaos_dropped={}\nchaos_delayed={}\nchaos_truncated={}\nchaos_killed={}",
-            self.dropped.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-            self.truncated.load(Ordering::Relaxed),
-            self.killed.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -276,6 +267,5 @@ mod tests {
         }
         chaos.kill_leader(); // budget exhausted: a no-op, not a panic
         assert_eq!(chaos.killed.load(Ordering::Relaxed), 2);
-        assert!(chaos.render().contains("chaos_killed=2"));
     }
 }

@@ -154,26 +154,22 @@ impl Client {
         self.run_key_text(key.as_str())
     }
 
-    /// Fetch the server's counter block (the `STATS` payload,
-    /// `name=value` per line).
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        self.call_text(&Request::Stats)
-    }
-
-    /// One `name=value` counter out of [`Self::stats`] output.
+    /// One counter or gauge out of a fresh [`Self::metrics`] scrape, by
+    /// full metric name (e.g. `qprac_simulated_total`). Counters are
+    /// looked up first, then gauges. A name the server does not export
+    /// is an error, never 0, so a renamed metric cannot pass silently.
     pub fn stat(&mut self, name: &str) -> Result<u64, ClientError> {
-        let stats = self.stats()?;
-        stats
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ClientError::Server(format!("counter {name:?} missing in {stats:?}")))
-    }
-
-    /// Fetch the server's `HEALTH` block (`name=value` per line:
-    /// status, uptime, queue depth, in-flight work).
-    pub fn health(&mut self) -> Result<String, ClientError> {
-        self.call_text(&Request::Health)
+        let text = self.metrics()?;
+        let snap = qprac_obs::Snapshot::parse_prometheus(&text)
+            .map_err(|e| ClientError::Server(format!("unparsable METRICS payload: {e}")))?;
+        match (snap.counters.get(name), snap.gauges.get(name)) {
+            (Some(&value), _) => Ok(value),
+            (None, Some(&value)) => u64::try_from(value)
+                .map_err(|_| ClientError::Server(format!("gauge {name:?} is negative ({value})"))),
+            (None, None) => Err(ClientError::Server(format!(
+                "metric {name:?} missing from METRICS"
+            ))),
+        }
     }
 
     /// Fetch the server's registry in Prometheus text exposition

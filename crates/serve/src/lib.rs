@@ -16,8 +16,8 @@
 //!   CI;
 //! - [`shard`] — client-side consistent-hash routing: which shard of a
 //!   cluster owns a [`sim::RunKey`];
-//! - [`histogram`] — the per-verb latency histograms behind the
-//!   `STATS`/`HEALTH` quantile lines;
+//! - [`histogram`] — the per-verb latency histograms exported by
+//!   `METRICS`;
 //! - [`singleflight`] / [`memcache`] — the two concurrency primitives,
 //!   usable on their own;
 //! - [`client`] — the blocking client used by `qprac-client` and the

@@ -3,11 +3,9 @@
 //!
 //! ```text
 //! request  := "RUNB " <canonical run-key text> "\n"
-//!           | "STATS\n"
-//!           | "HEALTH\n"
+//!           | "PING\n"
 //!           | "METRICS\n"
 //!           | "SHUTDOWN\n"
-//!           | "PING\n"
 //! response := "OK " <kind> " " <len> "\n" <len payload bytes>
 //!           | "OKB " <len> "\n" <len frame bytes>
 //!           | "ERR " <len> "\n" <len message bytes>
@@ -18,7 +16,10 @@
 //! payload is the [`sim::codec`] cell encoding (self-describing kind,
 //! versioned, checksummed) — the same bytes as a binary run-cache
 //! entry, so warm remote hits skip text parsing entirely. The control
-//! verbs answer `OK text` with a `name=value` or Prometheus body.
+//! verbs answer `OK text`: `PING` with `pong`, `SHUTDOWN` with
+//! `draining`, and `METRICS` with the server's counters, gauges and
+//! per-verb latency histograms in Prometheus text exposition format —
+//! the one place the server's counters are rendered.
 //!
 //! Requests are single lines because canonical run keys never contain
 //! newlines; responses are length-prefixed because stats payloads are
@@ -38,13 +39,9 @@ pub enum Request {
     /// Resolve one cell by its canonical [`sim::RunKey`] text, answered
     /// in the binary cell encoding ([`Response::OkBin`]).
     RunBin(String),
-    /// Server counters (requests / hits / simulated / coalesced).
-    Stats,
-    /// Replica health: uptime, queue depth, in-flight work — what a
-    /// failover-aware client routes on.
-    Health,
-    /// The same registry data as `STATS`/`HEALTH` in Prometheus text
-    /// exposition format — what `scrape_cluster` merges across shards.
+    /// Every server counter, load gauge and latency histogram in
+    /// Prometheus text exposition format — what `scrape_cluster`
+    /// merges across shards.
     Metrics,
     /// Graceful teardown: stop accepting, drain in-flight work, exit.
     Shutdown,
@@ -112,13 +109,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         return Ok(Request::RunBin(key.to_string()));
     }
     match line.trim_end() {
-        "STATS" => Ok(Request::Stats),
-        "HEALTH" => Ok(Request::Health),
         "METRICS" => Ok(Request::Metrics),
         "SHUTDOWN" => Ok(Request::Shutdown),
         "PING" => Ok(Request::Ping),
         other => Err(format!(
-            "unknown request {:?} (expected RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
+            "unknown request {:?} (expected RUNB <key> | PING | METRICS | SHUTDOWN)",
             clip(other, 80)
         )),
     }
@@ -128,8 +123,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
         Request::RunBin(key) => writeln!(w, "RUNB {key}"),
-        Request::Stats => writeln!(w, "STATS"),
-        Request::Health => writeln!(w, "HEALTH"),
         Request::Metrics => writeln!(w, "METRICS"),
         Request::Shutdown => writeln!(w, "SHUTDOWN"),
         Request::Ping => writeln!(w, "PING"),
@@ -235,8 +228,6 @@ mod tests {
     fn requests_render_and_parse() {
         for req in [
             Request::RunBin("workload:x;cores=4".into()),
-            Request::Stats,
-            Request::Health,
             Request::Metrics,
             Request::Shutdown,
             Request::Ping,
@@ -247,6 +238,8 @@ mod tests {
             assert_eq!(parse_request(&line).unwrap(), req);
         }
         assert!(parse_request("RUN workload:x;cores=4").is_err());
+        assert!(parse_request("STATS").is_err());
+        assert!(parse_request("HEALTH").is_err());
         assert!(parse_request("RUNB ").is_err());
         assert!(parse_request("DELETE everything").is_err());
         assert!(parse_request("").is_err());

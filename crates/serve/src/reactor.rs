@@ -11,7 +11,7 @@
 //!
 //! Division of labor per request:
 //!
-//! - cheap verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/`SHUTDOWN`) are
+//! - cheap verbs (`PING`/`METRICS`/`SHUTDOWN`) are
 //!   answered inline on the reactor thread;
 //! - `RUNB` is handed to the dispatch pool, which drives the three-tier
 //!   [`resolve`] path (LRU → disk → semaphore-bounded single-flight
@@ -43,7 +43,7 @@ use std::time::Instant;
 use crate::chaos::Chaos;
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{parse_request, write_response, Request, Response, MAX_LINE};
-use crate::server::{metrics_payload, render_health, resolve, stats_payload, Inner};
+use crate::server::{metrics_payload, resolve, Inner};
 
 /// Read-buffer soft cap per connection: past this the reactor stops
 /// reading (TCP backpressure) until the backlog drains, so a peer that
@@ -432,20 +432,6 @@ impl Reactor {
                         payload: "pong".into(),
                     });
                     inner.hist.ping.record(t0.elapsed());
-                }
-                Ok(Request::Stats) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: stats_payload(inner),
-                    });
-                    inner.hist.stats.record(t0.elapsed());
-                }
-                Ok(Request::Health) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: render_health(inner),
-                    });
-                    inner.hist.health.record(t0.elapsed());
                 }
                 Ok(Request::Metrics) => {
                     c.push_response(&Response::Ok {

@@ -99,7 +99,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic service counters, readable via the `STATS` request.
+/// Monotonic service counters, exported by the `METRICS` request.
 #[derive(Debug, Default)]
 pub struct Counters {
     /// Requests received (all verbs).
@@ -119,21 +119,6 @@ pub struct Counters {
     /// (a subset of `errors`, counted separately so operators can tell
     /// version skew from garbage input).
     pub unknown_mitigation: AtomicU64,
-}
-
-impl Counters {
-    fn render(&self, in_flight: usize, store_errors: u64) -> String {
-        format!(
-            "requests={}\nmem_hits={}\ndisk_hits={}\nsimulated={}\ncoalesced={}\nerrors={}\nunknown_mitigation={}\nstore_errors={store_errors}\nin_flight={in_flight}",
-            self.requests.load(Ordering::Relaxed),
-            self.mem_hits.load(Ordering::Relaxed),
-            self.disk_hits.load(Ordering::Relaxed),
-            self.simulated.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.unknown_mitigation.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// A bound, not-yet-serving server. [`Server::serve`] blocks the
@@ -158,11 +143,11 @@ pub(crate) struct Inner {
     /// `RUNB` requests currently being resolved (queue depth on
     /// top of the worker bound; what `SHUTDOWN` drains).
     active: AtomicUsize,
-    /// Per-verb latency histograms (rendered in `STATS`/`HEALTH`).
+    /// Per-verb latency histograms (exported by `METRICS`).
     pub(crate) hist: VerbHistograms,
     /// Concurrent-connection ceiling, enforced at accept.
     pub(crate) max_conns: usize,
-    /// Currently open connections (a gauge, for `HEALTH`).
+    /// Currently open connections (the `qprac_connections` gauge).
     pub(crate) connections: AtomicUsize,
     /// Connections refused at the [`Self::max_conns`] ceiling.
     pub(crate) rejected_conns: AtomicU64,
@@ -232,49 +217,9 @@ impl Server {
     }
 }
 
-/// The `STATS` payload: monotonic counters plus per-verb latency
-/// quantiles.
-pub(crate) fn stats_payload(inner: &Inner) -> String {
-    let mut text = inner
-        .counters
-        .render(inner.flights.in_flight(), inner.disk.failed_stores());
-    inner.hist.render(&mut text);
-    text
-}
-
-/// The `HEALTH` payload: liveness plus the load signals a
-/// failover-aware client routes on.
-pub(crate) fn render_health(inner: &Inner) -> String {
-    let active = inner.active.load(Ordering::SeqCst);
-    let mut text = format!(
-        "status={}\nuptime_ms={}\nworkers={}\nactive={active}\nqueue_depth={}\nin_flight={}\nconnections={}\nmax_conns={}\nrejected_conns={}",
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            "draining"
-        } else {
-            "ok"
-        },
-        inner.start.elapsed().as_millis(),
-        inner.worker_count,
-        active.saturating_sub(inner.worker_count),
-        inner.flights.in_flight(),
-        inner.connections.load(Ordering::SeqCst),
-        inner.max_conns,
-        inner.rejected_conns.load(Ordering::Relaxed),
-    );
-    inner.hist.render(&mut text);
-    if let Some(chaos) = &inner.chaos {
-        text.push('\n');
-        text.push_str(&chaos.render());
-    }
-    text
-}
-
-/// The `METRICS` payload: the same counters, gauges and histograms as
-/// `STATS`/`HEALTH`, frozen into an [`qprac_obs::Snapshot`] and
-/// rendered in Prometheus text exposition format. Building the
-/// snapshot from the *same* atomics and the same `HistSnapshot` write
-/// path the `name=value` renderers use is what keeps the two
-/// expositions from ever drifting.
+/// The `METRICS` payload: every counter, gauge and histogram the
+/// server keeps, frozen into an [`qprac_obs::Snapshot`] and rendered in
+/// Prometheus text exposition format.
 pub(crate) fn metrics_payload(inner: &Inner) -> String {
     metrics_snapshot(inner).render_prometheus()
 }
@@ -303,6 +248,18 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
     ] {
         snap.counters.insert(name.to_string(), value);
     }
+    // Fired-fault counters exist only while chaos is armed, so a quiet
+    // server's exposition carries no `qprac_chaos_*` names at all.
+    if let Some(chaos) = &inner.chaos {
+        for (name, value) in [
+            ("qprac_chaos_dropped_total", load(&chaos.dropped)),
+            ("qprac_chaos_delayed_total", load(&chaos.delayed)),
+            ("qprac_chaos_truncated_total", load(&chaos.truncated)),
+            ("qprac_chaos_killed_total", load(&chaos.killed)),
+        ] {
+            snap.counters.insert(name.to_string(), value);
+        }
+    }
     let active = inner.active.load(Ordering::SeqCst);
     for (name, value) in [
         (
@@ -316,6 +273,7 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
             active.saturating_sub(inner.worker_count) as i64,
         ),
         ("qprac_workers", inner.worker_count as i64),
+        ("qprac_max_conns", inner.max_conns as i64),
         ("qprac_uptime_ms", inner.start.elapsed().as_millis() as i64),
         (
             "qprac_draining",
@@ -333,7 +291,7 @@ pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
 
 /// Panic-safe tally of resolves in progress ([`Inner::active`]): the
 /// chaos leader-kill unwinds straight through `resolve`, and a stuck
-/// counter would report phantom load in `HEALTH` forever.
+/// counter would report phantom load in `METRICS` forever.
 struct ActiveGuard<'a>(&'a AtomicUsize);
 
 impl<'a> ActiveGuard<'a> {
@@ -355,7 +313,7 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
     let _active = ActiveGuard::enter(&inner.active);
     let spec = RunKey::parse_text(key_text).map_err(|e| {
         // Version-skew signal: a newer peer minted a key for a design
-        // this build does not register. Counted (STATS) and answered
+        // this build does not register. Counted (METRICS) and answered
         // with a clean ERR the client treats as authoritative.
         if matches!(e, sim::KeyError::UnknownMitigation(_)) {
             inner
@@ -409,7 +367,7 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
         inner.counters.simulated.fetch_add(1, Ordering::Relaxed);
         let result = Arc::new(outcome);
         if let Err(e) = inner.disk.store(&key, &result) {
-            // Counted by the cache (STATS `store_errors`); the result
+            // Counted by the cache (`qprac_store_errors_total`); the result
             // itself still flows to the caller and the memory tier.
             qprac_obs::warn!("qprac-serve: disk-cache store failed: {e}");
         }
@@ -492,21 +450,40 @@ mod tests {
 
     #[test]
     fn counters_render_all_fields() {
-        let c = Counters::default();
-        c.requests.store(3, Ordering::Relaxed);
-        let text = c.render(1, 2);
-        for field in [
-            "requests=3",
-            "mem_hits=0",
-            "disk_hits=0",
-            "simulated=0",
-            "coalesced=0",
-            "errors=0",
-            "unknown_mitigation=0",
-            "store_errors=2",
-            "in_flight=1",
-        ] {
-            assert!(text.contains(field), "{field} missing from {text:?}");
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let c = &server.inner.counters;
+        for (i, counter) in [
+            &c.requests,
+            &c.mem_hits,
+            &c.disk_hits,
+            &c.simulated,
+            &c.coalesced,
+            &c.errors,
+            &c.unknown_mitigation,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            counter.store(10 + i as u64, Ordering::Relaxed);
         }
+        let snap = metrics_snapshot(&server.inner);
+        for (i, name) in [
+            "qprac_requests_total",
+            "qprac_mem_hits_total",
+            "qprac_disk_hits_total",
+            "qprac_simulated_total",
+            "qprac_coalesced_total",
+            "qprac_errors_total",
+            "qprac_unknown_mitigation_total",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(snap.counters.get(name), Some(&(10 + i as u64)), "{name}");
+        }
+        for name in ["qprac_store_errors_total", "qprac_run_requests_total"] {
+            assert_eq!(snap.counters.get(name), Some(&0), "{name}");
+        }
+        assert_eq!(snap.gauges.get("qprac_in_flight"), Some(&0));
     }
 }

@@ -1,8 +1,8 @@
 //! Event-driven-core integration tests: the properties the poll
 //! readiness loop was built for. A thousand idle connections must cost
 //! buffers, not OS threads; the connection ceiling must refuse (and
-//! count) the excess; and per-verb latency histograms must surface in
-//! `STATS`/`HEALTH`.
+//! count) the excess; and per-verb latency histograms and load gauges
+//! must surface in `METRICS`.
 //!
 //! These tests are unix-only by construction (the poll core is) and
 //! read `/proc/self/status` for the thread count, so the ceiling test
@@ -80,10 +80,10 @@ fn poll_loop_sustains_1024_idle_connections_on_a_fixed_thread_count() {
     let key = small_key(200);
     probe.run(&key).expect("run resolves under load");
     // ...every connection is actually registered (accepted + polled)...
-    let connections = wait_for_health_gauge(addr, "connections=", IDLE as u64 + 1);
+    let connections = wait_for_health_gauge(addr, "qprac_connections", IDLE as u64 + 1);
     assert!(
         connections > IDLE as u64,
-        "HEALTH reports {connections} connections, expected > {IDLE}"
+        "METRICS reports {connections} connections, expected > {IDLE}"
     );
     // ...and no thread was spawned per connection: the thread count is
     // what it was before (modulo unrelated test-harness noise).
@@ -96,20 +96,16 @@ fn poll_loop_sustains_1024_idle_connections_on_a_fixed_thread_count() {
     drop(idle);
 }
 
-/// Wait (bounded) for a `HEALTH` gauge to reach `want`; returns the
-/// last observed value. Gauges settle asynchronously with the reactor's
-/// accept/close processing.
-fn wait_for_health_gauge(addr: SocketAddr, field: &str, want: u64) -> u64 {
+/// Wait (bounded) for a `METRICS` counter or gauge to reach `want`;
+/// returns the last observed value. Values settle asynchronously with
+/// the reactor's accept/close processing.
+fn wait_for_health_gauge(addr: SocketAddr, metric: &str, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut last = 0;
     loop {
         if let Ok(mut c) = Client::connect(addr) {
-            if let Ok(health) = c.health() {
-                last = health
-                    .lines()
-                    .find_map(|l| l.strip_prefix(field))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
+            if let Ok(value) = c.stat(metric) {
+                last = value;
                 if last >= want {
                     return last;
                 }
@@ -153,12 +149,12 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     assert_eq!(n, 0, "over-ceiling connection got bytes: {buf:?}");
 
     // Releasing one slot readmits new clients, and the refusal shows up
-    // in HEALTH.
+    // in METRICS.
     held.pop();
-    let rejected = wait_for_health_gauge(addr, "rejected_conns=", 1);
+    let rejected = wait_for_health_gauge(addr, "qprac_rejected_conns_total", 1);
     assert!(rejected >= 1, "refusals not counted (rejected_conns=0)");
     // Readmission races the server noticing closed sockets (ours and
-    // the HEALTH probes'); retry until a fresh client serves.
+    // the METRICS probes'); retry until a fresh client serves.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let served = match Client::connect(addr) {
@@ -175,63 +171,34 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     }
 }
 
-/// Satellite (b) end-to-end: per-verb latency histograms appear in
-/// `STATS` and `HEALTH` once a verb has traffic, and quiet verbs stay
-/// silent.
+/// The `METRICS` verb serves a parseable Prometheus exposition: the
+/// resolve counters, per-verb latency histograms (quiet verbs present
+/// but empty) and the connection gauges, mergeable across scrapes.
 #[test]
-fn stats_and_health_expose_per_verb_latency_quantiles() {
-    let addr = spawn_server(ServerConfig::default());
-    let mut client = Client::connect(addr).expect("connect");
-    let key = small_key(300);
-    client.run(&key).expect("run");
-    client.run(&key).expect("run again (warm)");
-    // The client negotiates the binary frame: both resolves are RUNB.
-    let stats = client.stats().expect("stats");
-    for field in [
-        "lat_runb_count=2",
-        "lat_runb_p50_us=",
-        "lat_runb_p95_us=",
-        "lat_runb_p99_us=",
-    ] {
-        assert!(stats.contains(field), "{field} missing from STATS: {stats}");
-    }
-    // HEALTH had no traffic before this STATS render: quiet verbs stay
-    // silent.
-    assert!(
-        !stats.contains("lat_health_"),
-        "quiet verb rendered: {stats}"
-    );
-    let health = client.health().expect("health");
-    assert!(
-        health.contains("lat_runb_count=2"),
-        "HEALTH lacks histograms: {health}"
-    );
-    assert!(health.contains("connections="), "{health}");
-    assert!(health.contains("max_conns="), "{health}");
-}
-
-/// The `METRICS` verb serves a parseable Prometheus exposition whose
-/// counters agree with `STATS` — both are built from the same atomics
-/// and the same histogram snapshots, so any drift is a bug.
-#[test]
-fn metrics_exposition_parses_and_matches_stats() {
-    let addr = spawn_server(ServerConfig::default());
+fn metrics_exposition_carries_verb_latencies_and_load_gauges() {
+    let addr = spawn_server(ServerConfig {
+        max_conns: 32,
+        ..ServerConfig::default()
+    });
     let mut client = Client::connect(addr).expect("connect");
     let key = small_key(250);
     client.run(&key).expect("run");
     client.run(&key).expect("run again (warm)");
-    let simulated = client.stat("simulated").expect("stats counter");
     let text = client.metrics().expect("metrics");
     let snap = qprac_obs::Snapshot::parse_prometheus(&text)
         .unwrap_or_else(|e| panic!("METRICS payload must parse: {e}\n{text}"));
-    assert_eq!(snap.counter("qprac_simulated_total"), simulated);
+    assert_eq!(snap.counter("qprac_simulated_total"), 1);
     assert_eq!(snap.counter("qprac_run_requests_total"), 2);
     assert_eq!(snap.counter("qprac_mem_hits_total"), 1, "warm rerun hit");
+    // Per-verb latency travels as real histograms; verbs without
+    // traffic are exported empty.
+    assert_eq!(snap.hists["qprac_lat_runb_us"].count(), 2);
+    assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0, "{text}");
+    assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 0, "{text}");
     assert!(snap.gauge("qprac_workers") >= 1, "{text}");
     assert!(snap.gauge("qprac_uptime_ms") >= 0, "{text}");
-    // Per-verb latency travels as real histograms.
-    let runb = snap.hists.get("qprac_lat_runb_us").expect("runb histogram");
-    assert_eq!(runb.count(), 2);
+    assert!(snap.gauge("qprac_connections") >= 1, "{text}");
+    assert_eq!(snap.gauges["qprac_max_conns"], 32, "{text}");
     // A second scrape counts the first: the METRICS verb observes
     // itself like any other.
     let text2 = client.metrics().expect("second scrape");
@@ -243,7 +210,7 @@ fn metrics_exposition_parses_and_matches_stats() {
     merged.merge(&snap2);
     assert_eq!(
         merged.counter("qprac_simulated_total"),
-        2 * simulated,
+        2,
         "merge must sum counters"
     );
 }

@@ -49,16 +49,20 @@ fn concurrent_clients_with_one_key_simulate_once() {
     // ...and the server ran the simulation exactly once: every other
     // request either coalesced onto the in-flight run or hit the LRU.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 1, "single-flight");
-    let mem_hits = client.stat("mem_hits").unwrap();
-    let coalesced = client.stat("coalesced").unwrap();
+    assert_eq!(
+        client.stat("qprac_simulated_total").unwrap(),
+        1,
+        "single-flight"
+    );
+    let mem_hits = client.stat("qprac_mem_hits_total").unwrap();
+    let coalesced = client.stat("qprac_coalesced_total").unwrap();
     assert_eq!(
         mem_hits + coalesced,
         (CLIENTS - 1) as u64,
         "the other {} requests must be shared, not re-simulated",
         CLIENTS - 1
     );
-    assert_eq!(client.stat("in_flight").unwrap(), 0);
+    assert_eq!(client.stat("qprac_in_flight").unwrap(), 0);
 }
 
 #[test]
@@ -76,9 +80,9 @@ fn lru_and_disk_tiers_report_hits() {
     let first = client.run(&key).expect("cold run");
     let again = client.run(&key).expect("warm run");
     assert_eq!(first, again);
-    assert_eq!(client.stat("simulated").unwrap(), 1);
-    assert_eq!(client.stat("mem_hits").unwrap(), 1);
-    assert_eq!(client.stat("disk_hits").unwrap(), 0);
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_disk_hits_total").unwrap(), 0);
 
     // Server B shares the disk tier: a fresh process-equivalent resolves
     // the same key from disk without simulating.
@@ -88,8 +92,8 @@ fn lru_and_disk_tiers_report_hits() {
     });
     let mut client_b = Client::connect(addr_b).unwrap();
     assert_eq!(client_b.run(&key).expect("disk-tier run"), first);
-    assert_eq!(client_b.stat("simulated").unwrap(), 0);
-    assert_eq!(client_b.stat("disk_hits").unwrap(), 1);
+    assert_eq!(client_b.stat("qprac_simulated_total").unwrap(), 0);
+    assert_eq!(client_b.stat("qprac_disk_hits_total").unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -113,7 +117,7 @@ fn malformed_requests_get_err_and_the_connection_survives() {
     assert!(err.to_string().contains("client-side"), "{err}");
     // The same connection still works for a valid request afterwards.
     client.ping().expect("connection survived the ERRs");
-    assert!(client.stat("errors").unwrap() >= 4);
+    assert!(client.stat("qprac_errors_total").unwrap() >= 4);
 }
 
 #[test]
@@ -130,14 +134,14 @@ fn unknown_mitigation_keys_get_a_counted_clean_err() {
     assert!(matches!(err, ClientError::Server(_)), "{err}");
     assert!(err.to_string().contains("unknown mitigation"), "{err}");
     assert!(!err.to_string().contains("panicked"), "{err}");
-    // Counted under its own STATS reason, distinct from plain errors.
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 1);
-    assert_eq!(client.stat("errors").unwrap(), 1);
+    // Counted under its own METRICS counter, distinct from plain errors.
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_errors_total").unwrap(), 1);
     // A malformed key is an error but NOT an unknown mitigation.
     let err = client.run_key_text("workload:missing-config").unwrap_err();
     assert!(err.to_string().contains("malformed"), "{err}");
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 1);
-    assert_eq!(client.stat("errors").unwrap(), 2);
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_errors_total").unwrap(), 2);
     // The connection survives and the server still simulates.
     client.ping().expect("connection survived the ERRs");
 }
@@ -195,8 +199,12 @@ fn corrupt_binary_disk_entries_are_a_miss_never_a_panic() {
     });
     let mut client_b = Client::connect(addr_b).unwrap();
     assert_eq!(client_b.run(&key).expect("resolve past corruption"), first);
-    assert_eq!(client_b.stat("disk_hits").unwrap(), 0, "corrupt = miss");
-    assert_eq!(client_b.stat("simulated").unwrap(), 1);
+    assert_eq!(
+        client_b.stat("qprac_disk_hits_total").unwrap(),
+        0,
+        "corrupt = miss"
+    );
+    assert_eq!(client_b.stat("qprac_simulated_total").unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -244,34 +252,121 @@ fn chaos_killed_leader_poisons_followers_who_redrive() {
         "a kill must force a retry"
     );
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.health().unwrap().contains("chaos_killed=1"));
+    assert_eq!(client.stat("qprac_chaos_killed_total").unwrap(), 1);
     assert_eq!(
-        client.stat("simulated").unwrap(),
+        client.stat("qprac_simulated_total").unwrap(),
         1,
         "the re-driven flight simulates once; everyone else shares it"
     );
 }
 
+/// The load signals a failover-aware operator routes on are `METRICS`
+/// gauges: not draining, idle workers, nothing queued or in flight.
 #[test]
 fn health_reports_status_and_load_signals() {
-    let addr = spawn_server(ServerConfig::default());
+    let addr = spawn_server(ServerConfig {
+        max_conns: 64,
+        ..ServerConfig::default()
+    });
     let mut client = Client::connect(addr).unwrap();
-    let health = client.health().expect("health");
-    let field = |name: &str| -> String {
-        health
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-            .unwrap_or_else(|| panic!("{name} missing in {health:?}"))
-            .to_string()
+    let snap = scrape(&mut client);
+    let gauge = |name: &str| -> i64 {
+        *snap
+            .gauges
+            .get(name)
+            .unwrap_or_else(|| panic!("gauge {name} missing in {snap:?}"))
     };
-    assert_eq!(field("status"), "ok");
-    assert!(field("workers").parse::<u64>().unwrap() >= 1);
-    assert_eq!(field("active"), "0");
-    assert_eq!(field("queue_depth"), "0");
-    assert_eq!(field("in_flight"), "0");
-    let _uptime: u64 = field("uptime_ms").parse().unwrap();
+    assert_eq!(gauge("qprac_draining"), 0);
+    assert!(gauge("qprac_workers") >= 1);
+    assert_eq!(gauge("qprac_active"), 0);
+    assert_eq!(gauge("qprac_queue_depth"), 0);
+    assert_eq!(gauge("qprac_in_flight"), 0);
+    assert!(gauge("qprac_uptime_ms") >= 0);
+    assert_eq!(gauge("qprac_max_conns"), 64);
+    assert!(gauge("qprac_connections") >= 1, "the scraping connection");
     // Chaos counters only appear when chaos is armed.
-    assert!(!health.contains("chaos_"), "quiet server, quiet health");
+    assert!(
+        !snap.counters.keys().any(|k| k.starts_with("qprac_chaos_")),
+        "quiet server, no chaos counters: {snap:?}"
+    );
+}
+
+/// One `METRICS` scrape, parsed.
+fn scrape(client: &mut Client) -> qprac_obs::Snapshot {
+    let text = client.metrics().expect("METRICS");
+    qprac_obs::Snapshot::parse_prometheus(&text)
+        .unwrap_or_else(|e| panic!("METRICS payload must parse: {e}\n{text}"))
+}
+
+/// Every resolved `RUNB` is accounted to exactly one outcome. On a
+/// chaos-free server, one `METRICS` scrape must satisfy
+/// `run_requests == mem_hits + disk_hits + simulated + coalesced +
+/// (errors - unparsable lines)`: unparsable request lines are counted
+/// as errors but never reach the resolve path.
+#[test]
+fn cell_resolve_outcomes_sum_to_run_requests() {
+    let dir =
+        std::env::temp_dir().join(format!("qprac-serve-test-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hot = small_key(660);
+    let seeded = small_key(560);
+    // A second server writes `seeded` into the shared disk tier.
+    let writer = spawn_server(ServerConfig {
+        disk: RunCache::at(&dir),
+        ..ServerConfig::default()
+    });
+    Client::connect(writer)
+        .unwrap()
+        .run(&seeded)
+        .expect("seed disk tier");
+
+    let addr = spawn_server(ServerConfig {
+        disk: RunCache::at(&dir),
+        ..ServerConfig::default()
+    });
+    // Concurrent duplicates: one simulation, the rest coalesce or hit.
+    const CLIENTS: usize = 6;
+    std::thread::scope(|s| {
+        for _ in 0..CLIENTS {
+            s.spawn(|| Client::connect(addr).unwrap().run(&hot).expect("hot cell"));
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.run(&hot).expect("warm repeat");
+    client.run(&seeded).expect("disk-tier hit");
+    let future = hot.as_str().replace("mit=qprac;", "mit=hydra-prac;");
+    assert!(client.run_key_text(&future).is_err(), "unknown mitigation");
+    const UNPARSABLE: u64 = 1;
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(b"FROB the server\n").unwrap();
+    let mut reply = [0u8; 4];
+    raw.read_exact(&mut reply).unwrap();
+    assert_eq!(&reply, b"ERR ");
+
+    let snap = scrape(&mut client);
+    let c = |name: &str| -> u64 {
+        *snap
+            .counters
+            .get(name)
+            .unwrap_or_else(|| panic!("counter {name} missing in {snap:?}"))
+    };
+    let runs = c("qprac_run_requests_total");
+    assert_eq!(runs, CLIENTS as u64 + 3, "every RUNB is counted once");
+    assert_eq!(c("qprac_simulated_total"), 1, "single-flight");
+    assert_eq!(c("qprac_disk_hits_total"), 1);
+    assert!(c("qprac_mem_hits_total") >= 1, "the warm repeat");
+    assert_eq!(c("qprac_unknown_mitigation_total"), 1);
+    assert_eq!(c("qprac_errors_total"), 1 + UNPARSABLE);
+    assert_eq!(
+        runs,
+        c("qprac_mem_hits_total")
+            + c("qprac_disk_hits_total")
+            + c("qprac_simulated_total")
+            + c("qprac_coalesced_total")
+            + (c("qprac_errors_total") - UNPARSABLE),
+        "resolve outcomes must sum to the RUNB count: {snap:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Graceful teardown: `SHUTDOWN` answers `draining`, in-flight work
@@ -355,15 +450,15 @@ fn runb_until_eof(addr: SocketAddr, key: &RunKey) -> Vec<u8> {
     got
 }
 
-/// Control verbs are never faulted: under any chaos spec, `PING`,
-/// `STATS` and `HEALTH` answer every time. Returns the last `HEALTH`.
-fn control_verbs_answer(addr: SocketAddr) -> String {
+/// Control verbs are never faulted: under any chaos spec, `PING` and
+/// `METRICS` answer every time. Returns the last `METRICS` scrape.
+fn control_verbs_answer(addr: SocketAddr) -> qprac_obs::Snapshot {
     let mut client = Client::connect(addr).unwrap();
     for _ in 0..4 {
         client.ping().expect("PING is never faulted");
-        client.stats().expect("STATS is never faulted");
+        client.metrics().expect("METRICS is never faulted");
     }
-    client.health().expect("HEALTH is never faulted")
+    scrape(&mut client)
 }
 
 #[test]
@@ -380,8 +475,8 @@ fn chaos_trunc_sends_a_strict_prefix_of_the_runb_reply() {
         got.len(),
         frame.len()
     );
-    let health = control_verbs_answer(addr);
-    assert!(health.contains("chaos_truncated=2"), "{health}");
+    let snap = control_verbs_answer(addr);
+    assert_eq!(snap.counters["qprac_chaos_truncated_total"], 2, "{snap:?}");
 }
 
 #[test]
@@ -391,10 +486,14 @@ fn chaos_drop_closes_the_connection_instead_of_serving_a_runb() {
         runb_until_eof(addr, &small_key(100)).is_empty(),
         "no byte before EOF"
     );
-    let health = control_verbs_answer(addr);
-    assert!(health.contains("chaos_dropped=2"), "{health}");
+    let snap = control_verbs_answer(addr);
+    assert_eq!(snap.counters["qprac_chaos_dropped_total"], 2, "{snap:?}");
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 0, "nothing dispatched");
+    assert_eq!(
+        client.stat("qprac_simulated_total").unwrap(),
+        0,
+        "nothing dispatched"
+    );
 }
 
 /// `delay` holds the `RUNB` in the event loop's deadline list: the
@@ -412,7 +511,7 @@ fn chaos_delay_defers_a_runb_without_stalling_the_loop() {
         // Over a second connection, wait until the RUNB is deferred,
         // then PING: both must answer inside the hold.
         let mut probe = Client::connect(addr).unwrap();
-        while !probe.health().unwrap().contains("chaos_delayed=1") {
+        while probe.stat("qprac_chaos_delayed_total").unwrap() != 1 {
             assert!(t0.elapsed() < HOLD, "the RUNB was never deferred");
         }
         probe.ping().expect("PING while a RUNB is held");

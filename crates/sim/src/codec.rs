@@ -1,10 +1,8 @@
-//! Versioned binary serialization for [`CellResult`] — the warm-path
-//! twin of the [`crate::serdes`] text form.
+//! Versioned binary serialization for [`CellResult`] — the one
+//! encoding of the run cache and of `qprac-serve` `RUNB` replies.
 //!
-//! Warm cache hits used to re-parse the text rendering on every lookup
-//! (float parsing dominating); this codec stores the same data as
-//! fixed-width little-endian words so a hit is a `memcpy`-shaped
-//! decode. The discipline is identical to the text parser: lossless or
+//! Values are stored as fixed-width little-endian words, so a warm
+//! cache hit is a `memcpy`-shaped decode. Decoding is lossless or an
 //! error, never a default. Migration safety comes from three layers of
 //! framing:
 //!
@@ -13,8 +11,7 @@
 //!    misaligned garbage;
 //! 2. a **field-count byte** ahead of every struct — a struct gaining
 //!    or losing a field changes the count, which is rejected before any
-//!    field is read (the binary analogue of the text parser's strict
-//!    field accounting);
+//!    field is read;
 //! 3. an **FNV-1a checksum trailer** over the whole frame — flipped or
 //!    truncated bytes fail the checksum before any length field is
 //!    trusted, so corruption can neither panic the decoder nor resurrect
@@ -33,7 +30,7 @@
 //!
 //! The checksum covers `version..payload`; `len` must account for the
 //! payload exactly and the frame must end after the trailer — trailing
-//! bytes are an error, exactly like an unknown text line.
+//! bytes are an error.
 
 use cpu_model::{CacheStats, CoreStats};
 use dram_core::DeviceStats;
@@ -538,6 +535,20 @@ mod tests {
     }
 
     #[test]
+    fn field_count_drift_is_an_error() {
+        // A RunStats that gained a field: bump its field-count byte
+        // (right after version, kind and len) and re-seal, so only the
+        // field-count check can reject it.
+        let mut bytes = encode_cell(&sample_cells()[0]);
+        bytes[6] += 1;
+        let n = bytes.len();
+        let sum = fnv64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let err = decode_cell(&bytes).unwrap_err();
+        assert!(err.contains("fields"), "{err}");
+    }
+
+    #[test]
     fn resealed_vector_count_cannot_balloon_allocation() {
         // Forge a stats frame whose core_ipc count claims 1 billion
         // entries, with a valid checksum — the remaining-bytes bound
@@ -555,14 +566,5 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = decode_cell(&bytes).unwrap_err();
         assert!(err.contains("exceeds remaining"), "{err}");
-    }
-
-    #[test]
-    fn binary_and_text_forms_agree() {
-        for cell in sample_cells() {
-            let via_binary = decode_cell(&encode_cell(&cell)).unwrap();
-            let via_text = CellResult::from_payload(cell.kind(), &cell.payload()).unwrap();
-            assert_eq!(via_binary, via_text);
-        }
     }
 }

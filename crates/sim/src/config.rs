@@ -105,7 +105,7 @@ pub fn env_opt(name: &str) -> Option<String> {
 /// The value-parsing half of [`env_opt`], split out so the
 /// unset/empty/`"0"` semantics are unit-testable without mutating
 /// process environment.
-pub(crate) fn opt_value(value: String) -> Option<String> {
+pub fn opt_value(value: String) -> Option<String> {
     if flag_value_enables(&value) {
         Some(value)
     } else {

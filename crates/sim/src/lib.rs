@@ -38,7 +38,7 @@ pub use attack::{run_bandwidth_attack, run_bandwidth_attack_with, BwAttackStats}
 pub use codec::{decode_cell, encode_cell};
 pub use config::{env_dir, env_flag, env_opt, env_u64, env_usize, MitigationKind, SystemConfig};
 pub use dram_core::{EventKind, Recorder, TraceHandle};
-pub use runcache::{CacheFormat, GcReport, RunCache};
+pub use runcache::{GcReport, RunCache};
 pub use runkey::{CellSpec, KeyError, RunKey};
 pub use serdes::CellResult;
 pub use stats::{geomean, RunStats};

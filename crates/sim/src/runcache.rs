@@ -2,23 +2,15 @@
 //! shared by the bench runner (`qprac_bench::runner`) and the
 //! `qprac-serve` disk tier.
 //!
-//! Two on-disk forms share the directory:
+//! An entry is `<dir>/<fnv64-of-key>.qbc`: a `QBC1` magic, the
+//! length-prefixed canonical key (collision + staleness guard), then
+//! the [`crate::codec`] frame — versioned, field-counted, checksummed.
 //!
-//! - **Binary** (`<dir>/<fnv64-of-key>.qbc`, the default write format):
-//!   a `QBC1` magic, the length-prefixed canonical key (collision +
-//!   staleness guard), then the [`crate::codec`] frame — versioned,
-//!   field-counted, checksummed. Warm hits decode without any text
-//!   parsing.
-//! - **Text** (`<dir>/<fnv64-of-key>.txt`, the pre-binary format):
-//!   the key, the result kind and the [`crate::serdes`] payload.
-//!   Still written under [`CacheFormat::Text`] and always readable, so
-//!   existing cache directories stay valid — a warm text entry hits, a
-//!   store then adds the binary twin.
-//!
-//! The read path tries binary first, then text. Any read problem —
-//! missing file, bad magic, key mismatch, checksum failure, parse error
-//! from a stats struct having gained a field — is a miss, never an
-//! error: the cell re-runs and the entry is rewritten.
+//! Any read problem — missing file, bad magic, key mismatch, checksum
+//! failure, a frame from an older layout version — is a miss, never an
+//! error: the cell re-runs and the entry is rewritten. `.txt` entries
+//! left by the retired text format are never read (they miss too), but
+//! [`RunCache::gc`] still budgets and evicts them.
 //!
 //! Stores are **crash-safe**: [`RunCache::store`] writes a unique
 //! same-directory temp file and `rename`s it into place, so a process
@@ -43,7 +35,7 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use crate::codec;
-use crate::config::{env_dir, env_opt, env_u64};
+use crate::config::{env_dir, env_u64};
 use crate::runkey::RunKey;
 use crate::serdes::CellResult;
 
@@ -53,24 +45,11 @@ pub const DEFAULT_CACHE_DIR: &str = "target/qprac-run-cache";
 /// Magic prefix of a binary cache entry.
 const BIN_MAGIC: &[u8; 4] = b"QBC1";
 
-/// Which on-disk form [`RunCache::store`] writes. Reads always accept
-/// both (binary first), so the format only changes what new entries
-/// look like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheFormat {
-    /// `.qbc` files in the [`crate::codec`] binary frame (default).
-    #[default]
-    Binary,
-    /// Legacy `.txt` files in the [`crate::serdes`] text form.
-    Text,
-}
-
 /// On-disk result cache, one file per [`RunKey`].
 #[derive(Debug, Clone)]
 pub struct RunCache {
     dir: Option<PathBuf>,
     max_bytes: Option<u64>,
-    format: CacheFormat,
     /// Stores that failed with an I/O error (shared across clones so a
     /// server or runner can report the total for its whole pass).
     failed_stores: Arc<AtomicU64>,
@@ -97,18 +76,12 @@ impl RunCache {
     /// `QPRAC_RUN_CACHE` unset/empty/`0` disables persistence; `1` or
     /// `true` uses [`DEFAULT_CACHE_DIR`]; any other value is the
     /// directory. `QPRAC_RUN_CACHE_MAX_MB` (0/unset = unbounded) sets
-    /// the [`Self::gc`] size budget. `QPRAC_CACHE_FORMAT=text` keeps
-    /// writing the legacy text files (reads accept both regardless).
+    /// the [`Self::gc`] size budget.
     pub fn from_env() -> Self {
         let max_mb = env_u64("QPRAC_RUN_CACHE_MAX_MB", 0);
-        let format = match env_opt("QPRAC_CACHE_FORMAT").as_deref() {
-            Some("text") => CacheFormat::Text,
-            _ => CacheFormat::Binary,
-        };
         RunCache {
             dir: env_dir("QPRAC_RUN_CACHE", DEFAULT_CACHE_DIR),
             max_bytes: (max_mb > 0).then(|| max_mb * 1024 * 1024),
-            format,
             failed_stores: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -119,7 +92,6 @@ impl RunCache {
         RunCache {
             dir: Some(dir.into()),
             max_bytes: None,
-            format: CacheFormat::default(),
             failed_stores: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -129,7 +101,6 @@ impl RunCache {
         RunCache {
             dir: None,
             max_bytes: None,
-            format: CacheFormat::default(),
             failed_stores: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -137,12 +108,6 @@ impl RunCache {
     /// Set the [`Self::gc`] size budget in bytes (`None` = unbounded).
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
         self.max_bytes = max_bytes;
-        self
-    }
-
-    /// Set the write format (reads always accept both).
-    pub fn with_format(mut self, format: CacheFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -156,27 +121,15 @@ impl RunCache {
         self.dir.as_deref()
     }
 
-    /// The configured write format.
-    pub fn format(&self) -> CacheFormat {
-        self.format
-    }
-
-    fn path(&self, key: &RunKey, ext: &str) -> Option<PathBuf> {
+    fn path(&self, key: &RunKey) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{}.{ext}", key.file_stem())))
+            .map(|d| d.join(format!("{}.qbc", key.file_stem())))
     }
 
-    /// Load the cached result for `key`, if present and intact. Binary
-    /// entries are preferred; a missing or damaged binary entry falls
-    /// back to the text twin, so pre-binary cache directories keep
-    /// hitting.
+    /// Load the cached result for `key`, if present and intact.
     pub fn load(&self, key: &RunKey) -> Option<CellResult> {
-        self.load_binary(key).or_else(|| self.load_text(key))
-    }
-
-    fn load_binary(&self, key: &RunKey) -> Option<CellResult> {
-        let bytes = fs::read(self.path(key, "qbc")?).ok()?;
+        let bytes = fs::read(self.path(key)?).ok()?;
         let rest = bytes.strip_prefix(BIN_MAGIC.as_slice())?;
         let (len_bytes, rest) = rest.split_at_checked(4)?;
         let key_len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
@@ -187,26 +140,15 @@ impl RunCache {
         codec::decode_cell(frame).ok()
     }
 
-    fn load_text(&self, key: &RunKey) -> Option<CellResult> {
-        let text = fs::read_to_string(self.path(key, "txt")?).ok()?;
-        let mut lines = text.splitn(3, '\n');
-        let stored_key = lines.next()?.strip_prefix("key=")?;
-        if stored_key != key.as_str() {
-            return None; // hash collision or stale format
-        }
-        let kind = lines.next()?.strip_prefix("kind=")?;
-        let payload = lines.next()?;
-        CellResult::from_payload(kind, payload).ok()
-    }
-
     /// Stores that failed with an I/O error since this cache (or any
-    /// clone sharing its counter) was built — `store_errors` in the
-    /// server's `STATS` block and the runner's warning line.
+    /// clone sharing its counter) was built — `qprac_store_errors_total`
+    /// in the server's `METRICS` exposition and the runner's warning
+    /// line.
     pub fn failed_stores(&self) -> u64 {
         self.failed_stores.load(Ordering::Relaxed)
     }
 
-    /// Persist `result` under `key` in the configured format.
+    /// Persist `result` under `key`.
     ///
     /// The commit is crash-safe: bytes land in a same-directory temp
     /// file first and are `rename`d into place, so a crash mid-store
@@ -216,33 +158,16 @@ impl RunCache {
     /// counted in [`Self::failed_stores`] — a full or read-only disk
     /// must not fail the experiment, but it must not be silent either.
     pub fn store(&self, key: &RunKey, result: &CellResult) -> io::Result<()> {
-        let (path, bytes) = match self.format {
-            CacheFormat::Binary => {
-                let Some(path) = self.path(key, "qbc") else {
-                    return Ok(());
-                };
-                let key_bytes = key.as_str().as_bytes();
-                let frame = codec::encode_cell(result);
-                let mut bytes = Vec::with_capacity(8 + key_bytes.len() + frame.len());
-                bytes.extend_from_slice(BIN_MAGIC);
-                bytes.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(key_bytes);
-                bytes.extend_from_slice(&frame);
-                (path, bytes)
-            }
-            CacheFormat::Text => {
-                let Some(path) = self.path(key, "txt") else {
-                    return Ok(());
-                };
-                let text = format!(
-                    "key={}\nkind={}\n{}",
-                    key.as_str(),
-                    result.kind(),
-                    result.payload()
-                );
-                (path, text.into_bytes())
-            }
+        let Some(path) = self.path(key) else {
+            return Ok(());
         };
+        let key_bytes = key.as_str().as_bytes();
+        let frame = codec::encode_cell(result);
+        let mut bytes = Vec::with_capacity(8 + key_bytes.len() + frame.len());
+        bytes.extend_from_slice(BIN_MAGIC);
+        bytes.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(key_bytes);
+        bytes.extend_from_slice(&frame);
         let outcome = write_atomic(&path, &bytes);
         if outcome.is_err() {
             self.failed_stores.fetch_add(1, Ordering::Relaxed);
@@ -361,39 +286,32 @@ mod tests {
     }
 
     #[test]
-    fn default_store_is_binary_and_text_twin_still_hits() {
+    fn store_writes_binary_and_a_legacy_text_entry_only_counts_for_gc() {
         let (cache, dir) = temp_cache("format");
         let key = RunKey::engine("fmt");
         cache.store(&key, &CellResult::Count(5)).unwrap();
-        assert!(cache.path(&key, "qbc").unwrap().exists());
-        assert!(!cache.path(&key, "txt").unwrap().exists());
+        assert!(cache.path(&key).unwrap().exists());
+        assert!(!cache.path(&key).unwrap().with_extension("txt").exists());
 
-        // A text-format cache (pre-binary dirs, QPRAC_CACHE_FORMAT=text)
-        // writes the legacy file — and a default binary-writing cache
-        // still reads it.
-        let text_cache = cache.clone().with_format(CacheFormat::Text);
+        // An entry in the retired text format is a plain miss (the cell
+        // re-simulates), but gc still budgets and evicts it.
         let tkey = RunKey::engine("fmt-text");
-        text_cache.store(&tkey, &CellResult::Count(6)).unwrap();
-        assert!(cache.path(&tkey, "txt").unwrap().exists());
-        assert_eq!(cache.load(&tkey), Some(CellResult::Count(6)));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn damaged_binary_entry_falls_back_to_its_text_twin() {
-        let (cache, dir) = temp_cache("fallback");
-        let key = RunKey::engine("twin");
-        cache
-            .clone()
-            .with_format(CacheFormat::Text)
-            .store(&key, &CellResult::Count(7))
+        let txt = cache.path(&tkey).unwrap().with_extension("txt");
+        fs::write(&txt, format!("key={}\nkind=count\n6", tkey.as_str())).unwrap();
+        assert_eq!(cache.load(&tkey), None);
+        let stamp = SystemTime::now() - std::time::Duration::from_secs(1000);
+        fs::File::options()
+            .write(true)
+            .open(&txt)
+            .unwrap()
+            .set_modified(stamp)
             .unwrap();
-        cache.store(&key, &CellResult::Count(7)).unwrap();
-        // Truncate the binary entry; the text twin must answer.
-        let qbc = cache.path(&key, "qbc").unwrap();
-        let bytes = fs::read(&qbc).unwrap();
-        fs::write(&qbc, &bytes[..bytes.len() / 2]).unwrap();
-        assert_eq!(cache.load(&key), Some(CellResult::Count(7)));
+        let qbc_len = fs::metadata(cache.path(&key).unwrap()).unwrap().len();
+        let report = cache.clone().with_max_bytes(Some(qbc_len)).gc();
+        assert_eq!(report.entries, 2);
+        assert_eq!(report.evicted, 1);
+        assert!(!txt.exists(), "the older text entry is evicted first");
+        assert_eq!(cache.load(&key), Some(CellResult::Count(5)));
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -413,7 +331,7 @@ mod tests {
                 }),
             )
             .unwrap();
-        let path = cache.path(&key, "qbc").unwrap();
+        let path = cache.path(&key).unwrap();
         let bytes = fs::read(&path).unwrap();
         for cut in 0..bytes.len() {
             fs::write(&path, &bytes[..cut]).unwrap();
@@ -431,7 +349,7 @@ mod tests {
         let (cache, dir) = temp_cache("flip");
         let key = RunKey::engine("flip-me");
         cache.store(&key, &CellResult::Count(0xDEAD_BEEF)).unwrap();
-        let path = cache.path(&key, "qbc").unwrap();
+        let path = cache.path(&key).unwrap();
         let bytes = fs::read(&path).unwrap();
         for i in 0..bytes.len() {
             for bit in [1u8, 0x10, 0x80] {
@@ -454,11 +372,7 @@ mod tests {
         cache.store(&key, &CellResult::Count(1)).unwrap();
         // Corrupt: move the file to where another key would look.
         let other = RunKey::engine("cell-b");
-        fs::rename(
-            cache.path(&key, "qbc").unwrap(),
-            cache.path(&other, "qbc").unwrap(),
-        )
-        .unwrap();
+        fs::rename(cache.path(&key).unwrap(), cache.path(&other).unwrap()).unwrap();
         assert!(cache.load(&other).is_none(), "stored key must be verified");
         let _ = fs::remove_dir_all(dir);
     }
@@ -482,20 +396,17 @@ mod tests {
             cache.store(key, &CellResult::Count(i as u64)).unwrap();
             let f = fs::File::options()
                 .write(true)
-                .open(cache.path(key, "qbc").unwrap())
+                .open(cache.path(key).unwrap())
                 .unwrap();
             f.set_modified(t0 + std::time::Duration::from_secs(i as u64 * 600))
                 .unwrap();
         }
         let sizes: u64 = keys
             .iter()
-            .map(|k| fs::metadata(cache.path(k, "qbc").unwrap()).unwrap().len())
+            .map(|k| fs::metadata(cache.path(k).unwrap()).unwrap().len())
             .sum();
         // Budget that fits exactly the two newest entries.
-        let keep_two = sizes
-            - fs::metadata(cache.path(&keys[0], "qbc").unwrap())
-                .unwrap()
-                .len();
+        let keep_two = sizes - fs::metadata(cache.path(&keys[0]).unwrap()).unwrap().len();
         let report = cache.clone().with_max_bytes(Some(keep_two)).gc();
         assert_eq!(report.entries, 3);
         assert_eq!(report.evicted, 1);
@@ -527,21 +438,19 @@ mod tests {
             cache.store(key, &CellResult::Count(42)).unwrap();
             let f = fs::File::options()
                 .write(true)
-                .open(cache.path(key, "qbc").unwrap())
+                .open(cache.path(key).unwrap())
                 .unwrap();
             f.set_modified(stamp).unwrap();
         }
         let mut names: Vec<(OsString, RunKey)> = keys
             .iter()
             .map(|k| {
-                let p = cache.path(k, "qbc").unwrap();
+                let p = cache.path(k).unwrap();
                 (p.file_name().unwrap().to_os_string(), k.clone())
             })
             .collect();
         names.sort();
-        let entry_len = fs::metadata(cache.path(&keys[0], "qbc").unwrap())
-            .unwrap()
-            .len();
+        let entry_len = fs::metadata(cache.path(&keys[0]).unwrap()).unwrap().len();
         // Budget for exactly two survivors: the two largest filenames.
         let report = cache.clone().with_max_bytes(Some(2 * entry_len)).gc();
         assert_eq!(report.evicted, 2);

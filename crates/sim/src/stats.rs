@@ -118,20 +118,6 @@ impl RunStats {
             self.trefi_cycles,
         )
     }
-
-    /// Full cacheable text form: [`Self::golden_repr`] plus the
-    /// per-channel device statistics. Round-trips losslessly through
-    /// [`Self::from_cache_text`].
-    pub fn to_cache_text(&self) -> String {
-        crate::serdes::to_text(self)
-    }
-
-    /// Parse [`Self::to_cache_text`] output. Strict: unknown, missing
-    /// or malformed fields are errors (the run cache treats them as
-    /// misses rather than loading a partial result).
-    pub fn from_cache_text(text: &str) -> Result<RunStats, String> {
-        crate::serdes::from_text(text)
-    }
 }
 
 /// Geometric mean helper for figure aggregation rows.

@@ -1,9 +1,8 @@
 //! Property tests for the binary cache codec: randomized `CellResult`
 //! payloads (including multi-channel `RunStats` with adversarial
 //! floats — subnormals, -0.0, huge magnitudes) must round-trip
-//! bit-exactly through `encode_cell`/`decode_cell`, and the binary and
-//! text forms must describe the same value: text → binary → text is
-//! byte-identical. Mirrors `serdes_prop.rs`, which pins the text side.
+//! bit-exactly through `encode_cell`/`decode_cell` and through the
+//! `RunCache`, and any damage to a frame must be a clean error.
 
 use cpu_model::{CacheStats, CoreStats};
 use dram_core::DeviceStats;
@@ -11,8 +10,7 @@ use energy_model::EnergyBreakdown;
 use mem_ctrl::McStats;
 use proptest::prelude::*;
 use sim::{
-    decode_cell, encode_cell, BwAttackStats, CacheFormat, CellResult, RunCache, RunKey, RunStats,
-    SystemConfig,
+    decode_cell, encode_cell, BwAttackStats, CellResult, RunCache, RunKey, RunStats, SystemConfig,
 };
 
 /// Turn raw bits into a finite f64 (infinities and NaNs cannot appear
@@ -117,29 +115,6 @@ proptest! {
         prop_assert_eq!(encode_cell(&back), frame);
     }
 
-    /// Cross-form equivalence: the text rendering of a value that has
-    /// been through the binary codec is byte-identical to the text
-    /// rendering of the original, so a cache migrated text → binary →
-    /// text reproduces its old files exactly.
-    #[test]
-    fn text_binary_text_is_byte_identical(
-        words in proptest::collection::vec(0u64..u64::MAX, 120..121),
-        channels in 1usize..5,
-        cores in 0usize..9,
-    ) {
-        let mut w = Words(words.into_iter());
-        let stats = w.stats(channels, cores);
-        let text = stats.to_cache_text();
-        // Start from the text form, as a migration would.
-        let parsed = RunStats::from_cache_text(&text).expect("parse text form");
-        let frame = encode_cell(&CellResult::Stats(Box::new(parsed)));
-        let decoded = decode_cell(&frame).expect("decode migrated frame");
-        let CellResult::Stats(back) = decoded else {
-            panic!("binary round-trip changed the payload kind");
-        };
-        prop_assert_eq!(back.to_cache_text(), text);
-    }
-
     #[test]
     fn attack_and_count_payloads_round_trip(
         a in 0u64..u64::MAX, b in 0u64..u64::MAX,
@@ -161,11 +136,11 @@ proptest! {
 
     /// Registry-driven persistence property: a result cached under any
     /// registered design's key — every zoo entry, not a hand-picked
-    /// few — reloads bit-identically through the `RunCache` in both
-    /// the binary `.qbc` and legacy text formats. This is the on-disk
-    /// half of the wire contract `serdes_prop.rs` pins for key text.
+    /// few — reloads bit-identically through the `RunCache`. This is
+    /// the on-disk half of the wire contract `serdes_prop.rs` pins for
+    /// key text.
     #[test]
-    fn every_registry_key_round_trips_through_both_cache_formats(
+    fn every_registry_key_round_trips_through_the_cache(
         words in proptest::collection::vec(0u64..u64::MAX, 120..121),
         channels_pow in 0u32..3,
         cores in 0usize..5,
@@ -178,15 +153,13 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        for format in [CacheFormat::Binary, CacheFormat::Text] {
-            let cache = RunCache::at(&dir).with_format(format);
-            for spec in mitigations::registry() {
-                let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
-                let key = RunKey::workload(&cfg, "ycsb/a_like");
-                cache.store(&key, &cell).expect("store cached cell");
-                let back = cache.load(&key).expect("reload cached cell");
-                prop_assert_eq!(&back, &cell, "{} in {:?}", spec.stem, format);
-            }
+        let cache = RunCache::at(&dir);
+        for spec in mitigations::registry() {
+            let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
+            let key = RunKey::workload(&cfg, "ycsb/a_like");
+            cache.store(&key, &cell).expect("store cached cell");
+            let back = cache.load(&key).expect("reload cached cell");
+            prop_assert_eq!(&back, &cell, "{}", spec.stem);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

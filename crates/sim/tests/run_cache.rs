@@ -1,4 +1,4 @@
-//! Run-cache foundations: the text serialization must round-trip real
+//! Run-cache foundations: the binary codec must round-trip real
 //! multi-channel runs losslessly, and the `RunKey` normalization rules
 //! (each registry entry's declared-inert tracker knobs, all of them
 //! under `MitigationKind::None`) must hold differentially — equal keys
@@ -6,7 +6,10 @@
 
 use cpu_model::WorkloadSpec;
 use dram_core::RfmKind;
-use sim::{run_bandwidth_attack, run_workload, MitigationKind, RunKey, RunStats, SystemConfig};
+use sim::{
+    decode_cell, encode_cell, run_bandwidth_attack, run_workload, CellResult, MitigationKind,
+    RunKey, SystemConfig,
+};
 
 /// Flip every knob the registry entry declares inert for `kind` away
 /// from its paper default. If the keys still collapse but the stats
@@ -36,7 +39,7 @@ fn flip_inert_knobs(cfg: &SystemConfig) -> SystemConfig {
 }
 
 #[test]
-fn cache_text_round_trips_a_multi_channel_alert_storm() {
+fn binary_codec_round_trips_a_multi_channel_alert_storm() {
     // tpc/tpcc64_like hammers a small hot set; N_BO = 8 makes its hot
     // rows alert on both channels within a short run.
     let cfg = SystemConfig::paper_default()
@@ -53,10 +56,11 @@ fn cache_text_round_trips_a_multi_channel_alert_storm() {
             stats.channel_device
         );
     }
-    let text = stats.to_cache_text();
-    let back = RunStats::from_cache_text(&text).expect("parse cached stats");
-    assert_eq!(back, stats, "cache round-trip must be lossless");
-    assert_eq!(back.to_cache_text(), text, "re-render must be stable");
+    let cell = CellResult::Stats(Box::new(stats));
+    let frame = encode_cell(&cell);
+    let back = decode_cell(&frame).expect("decode cached stats");
+    assert_eq!(back, cell, "cache round-trip must be lossless");
+    assert_eq!(encode_cell(&back), frame, "re-encode must be stable");
 }
 
 #[test]

@@ -1,119 +1,15 @@
-//! Property tests for the run-cache / wire text serdes: randomized
-//! `RunStats` (including the multi-channel `channel_device` views) and
-//! `BwAttackStats` must round-trip bit-exactly through
-//! `to_cache_text`/`from_cache_text` and the `CellResult` payload
-//! codec. Before this suite, only one real 2-channel run pinned the
-//! round-trip; here every field takes adversarial values — huge
-//! counters, subnormal/negative floats, empty and 8-wide IPC vectors.
-//! The key-side property iterates the mitigation registry, so every
-//! registered design (including ones added after this test was
-//! written) gets render → parse → render coverage at random knobs.
+//! Property test for canonical `RunKey` text, the identity every cache
+//! entry and wire request is addressed by. It iterates the mitigation
+//! registry, so every registered design (including ones added after
+//! this test was written) gets render → parse → render coverage at
+//! random knobs. Result values travel in the binary codec, whose
+//! round-trip properties live in `codec_prop.rs`.
 
-use cpu_model::{CacheStats, CoreStats};
-use dram_core::{DeviceStats, RfmKind};
-use energy_model::EnergyBreakdown;
-use mem_ctrl::McStats;
+use dram_core::RfmKind;
 use proptest::prelude::*;
-use sim::{BwAttackStats, CellResult, RunKey, RunStats, SystemConfig};
-
-/// Turn raw bits into a finite f64 (infinities and NaNs cannot appear
-/// in real statistics and would break `PartialEq`-based comparison);
-/// everything else — subnormals, -0.0, huge magnitudes — passes
-/// through and must survive the `{:?}` shortest-round-trip rendering.
-fn finite_f64(bits: u64) -> f64 {
-    let v = f64::from_bits(bits);
-    if v.is_finite() {
-        v
-    } else {
-        (bits >> 12) as f64 / 7.0
-    }
-}
-
-struct Words(std::vec::IntoIter<u64>);
-
-impl Words {
-    fn u(&mut self) -> u64 {
-        self.0.next().expect("word budget exhausted")
-    }
-
-    fn f(&mut self) -> f64 {
-        let b = self.u();
-        finite_f64(b)
-    }
-
-    fn device(&mut self) -> DeviceStats {
-        DeviceStats {
-            acts: self.u(),
-            pres: self.u(),
-            reads: self.u(),
-            writes: self.u(),
-            refs: self.u(),
-            rfm_ab: self.u(),
-            rfm_sb: self.u(),
-            rfm_pb: self.u(),
-            alerts: self.u(),
-            mitigations_alert: self.u(),
-            mitigations_opportunistic: self.u(),
-            mitigations_proactive: self.u(),
-            mitigations_periodic: self.u(),
-            victim_refreshes: self.u(),
-            aggressor_resets: self.u(),
-        }
-    }
-}
+use sim::{RunKey, SystemConfig};
 
 proptest! {
-    #[test]
-    fn run_stats_round_trip_is_lossless(
-        words in proptest::collection::vec(0u64..u64::MAX, 120..121),
-        channels in 1usize..5,
-        cores in 0usize..9,
-    ) {
-        let mut w = Words(words.into_iter());
-        let stats = RunStats {
-            cpu_cycles: w.u(),
-            mem_cycles: w.u(),
-            core_ipc: (0..cores).map(|_| w.f()).collect(),
-            cpu: CoreStats {
-                retired: w.u(),
-                cycles: w.u(),
-                loads: w.u(),
-                stores: w.u(),
-                stall_cycles: w.u(),
-            },
-            cache: CacheStats {
-                hits: w.u(),
-                misses: w.u(),
-                merged: w.u(),
-                blocked: w.u(),
-                writebacks: w.u(),
-            },
-            mc: McStats {
-                reads: w.u(),
-                writes: w.u(),
-                read_latency_sum: w.u(),
-                alert_service_cycles: w.u(),
-                rejected: w.u(),
-            },
-            device: w.device(),
-            channel_device: (0..channels).map(|_| w.device()).collect(),
-            energy: EnergyBreakdown {
-                demand_nj: w.f(),
-                refresh_nj: w.f(),
-                mitigation_nj: w.f(),
-                tracker_nj: w.f(),
-                background_nj: w.f(),
-            },
-            runtime_ns: w.f(),
-            trefi_cycles: w.u(),
-        };
-        let text = stats.to_cache_text();
-        let back = RunStats::from_cache_text(&text).expect("parse rendered stats");
-        prop_assert_eq!(&back, &stats);
-        // Idempotent re-render: equal structs render equal strings.
-        prop_assert_eq!(back.to_cache_text(), text);
-    }
-
     /// Registry-driven key property: for EVERY registered mitigation
     /// and arbitrary knob values, the rendered canonical key parses
     /// back to a spec that re-renders byte-identically. This is the
@@ -164,25 +60,6 @@ proptest! {
             let parsed = RunKey::parse_text(key.as_str())
                 .unwrap_or_else(|e| panic!("{key} failed to parse: {e}"));
             prop_assert_eq!(parsed.key(), key);
-        }
-    }
-
-    #[test]
-    fn cell_result_payloads_round_trip(
-        a in 0u64..u64::MAX, b in 0u64..u64::MAX,
-        c in 0u64..u64::MAX, d in 0u64..u64::MAX,
-    ) {
-        let attack = CellResult::Attack(BwAttackStats {
-            acts: a,
-            mem_cycles: b,
-            alerts: c,
-            rfms: d,
-        });
-        let count = CellResult::Count(a);
-        for cell in [attack, count] {
-            let back = CellResult::from_payload(cell.kind(), &cell.payload())
-                .expect("parse rendered payload");
-            prop_assert_eq!(back, cell);
         }
     }
 }

@@ -44,7 +44,7 @@ fn main() {
                 .with_mitigation(mitigation)
                 .with_instruction_limit(instr);
             // The wire request is nothing but the canonical run key;
-            // the response payload is the lossless RunStats text form.
+            // the response is the lossless binary cell encoding.
             let key = RunKey::workload(&cfg, workload);
             let CellResult::Stats(stats) = client.run(&key).expect("remote run") else {
                 panic!("workload cell must return stats");
@@ -59,20 +59,13 @@ fn main() {
                 stats.device.alerts,
             );
         }
-        let stats = client.stats().expect("server stats");
-        let counter = |name: &str| {
-            stats
-                .lines()
-                .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-                .unwrap_or("?")
-                .to_string()
-        };
+        let mut counter = |name: &str| client.stat(name).expect("server METRICS");
         println!(
             "  -> {:.2?}; server: simulated={} mem_hits={} coalesced={}\n",
             t0.elapsed(),
-            counter("simulated"),
-            counter("mem_hits"),
-            counter("coalesced"),
+            counter("qprac_simulated_total"),
+            counter("qprac_mem_hits_total"),
+            counter("qprac_coalesced_total"),
         );
     }
 }
