@@ -171,46 +171,76 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     }
 }
 
-/// The `METRICS` verb serves a parseable Prometheus exposition: the
-/// resolve counters, per-verb latency histograms (quiet verbs present
-/// but empty) and the connection gauges, mergeable across scrapes.
+/// Per-verb latency histograms and the load gauges (what the deleted
+/// `STATS`/`HEALTH` verbs used to render) surface in `METRICS`: a verb
+/// with traffic carries ordered p50/p95/p99 quantiles, quiet verbs are
+/// exported empty, and the connection gauges report the live load.
 #[test]
-fn metrics_exposition_carries_verb_latencies_and_load_gauges() {
+fn stats_and_health_expose_per_verb_latency_quantiles() {
     let addr = spawn_server(ServerConfig {
         max_conns: 32,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).expect("connect");
-    let key = small_key(250);
+    let key = small_key(300);
     client.run(&key).expect("run");
     client.run(&key).expect("run again (warm)");
     let text = client.metrics().expect("metrics");
     let snap = qprac_obs::Snapshot::parse_prometheus(&text)
         .unwrap_or_else(|e| panic!("METRICS payload must parse: {e}\n{text}"));
-    assert_eq!(snap.counter("qprac_simulated_total"), 1);
-    assert_eq!(snap.counter("qprac_run_requests_total"), 2);
-    assert_eq!(snap.counter("qprac_mem_hits_total"), 1, "warm rerun hit");
-    // Per-verb latency travels as real histograms; verbs without
-    // traffic are exported empty.
-    assert_eq!(snap.hists["qprac_lat_runb_us"].count(), 2);
+    // Both resolves are RUNB.
+    let runb = &snap.hists["qprac_lat_runb_us"];
+    assert_eq!(runb.count(), 2, "{text}");
+    let (p50, p95, p99) = (
+        runb.quantile_us(0.50),
+        runb.quantile_us(0.95),
+        runb.quantile_us(0.99),
+    );
+    assert!(p50 > 0 && p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
+    // PING and METRICS had no traffic before this scrape: quiet verbs
+    // are present but empty.
     assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0, "{text}");
     assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 0, "{text}");
-    assert!(snap.gauge("qprac_workers") >= 1, "{text}");
-    assert!(snap.gauge("qprac_uptime_ms") >= 0, "{text}");
+    assert_eq!(snap.hists["qprac_lat_ping_us"].quantile_us(0.99), 0);
     assert!(snap.gauge("qprac_connections") >= 1, "{text}");
     assert_eq!(snap.gauges["qprac_max_conns"], 32, "{text}");
-    // A second scrape counts the first: the METRICS verb observes
-    // itself like any other.
+}
+
+/// The `METRICS` verb serves a parseable Prometheus exposition whose
+/// counters agree with what `Client::stat` reads by name, and which
+/// merges across scrapes.
+#[test]
+fn metrics_exposition_parses_and_matches_stats() {
+    let addr = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let key = small_key(250);
+    client.run(&key).expect("run");
+    client.run(&key).expect("run again (warm)");
+    let simulated = client.stat("qprac_simulated_total").expect("stat");
+    let text = client.metrics().expect("metrics");
+    let snap = qprac_obs::Snapshot::parse_prometheus(&text)
+        .unwrap_or_else(|e| panic!("METRICS payload must parse: {e}\n{text}"));
+    assert_eq!(snap.counter("qprac_simulated_total"), simulated);
+    assert_eq!(simulated, 1);
+    assert_eq!(snap.counter("qprac_run_requests_total"), 2);
+    assert_eq!(snap.counter("qprac_mem_hits_total"), 1, "warm rerun hit");
+    assert!(snap.gauge("qprac_workers") >= 1, "{text}");
+    assert!(snap.gauge("qprac_uptime_ms") >= 0, "{text}");
+    // Per-verb latency travels as real histograms.
+    let runb = snap.hists.get("qprac_lat_runb_us").expect("runb histogram");
+    assert_eq!(runb.count(), 2);
+    // A second scrape counts the earlier ones: the METRICS verb observes
+    // itself like any other (the `stat` read above was the first).
     let text2 = client.metrics().expect("second scrape");
     let snap2 = qprac_obs::Snapshot::parse_prometheus(&text2).expect("parses");
-    assert_eq!(snap2.hists["qprac_lat_metrics_us"].count(), 1);
+    assert_eq!(snap2.hists["qprac_lat_metrics_us"].count(), 2);
     // Cross-shard aggregation: merging two scrapes of the same shard
     // doubles counters — the operation load_test applies across shards.
     let mut merged = snap.clone();
     merged.merge(&snap2);
     assert_eq!(
         merged.counter("qprac_simulated_total"),
-        2,
+        2 * simulated,
         "merge must sum counters"
     );
 }
